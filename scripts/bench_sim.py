@@ -35,7 +35,7 @@ import math
 import sys
 
 from repro.bench.registry import all_modules
-from repro.sim.benchmark import drive, drive_lanes, materialize
+from repro.sim.benchmark import drive, materialize
 
 BACKENDS = ("interp", "compiled")
 
@@ -69,75 +69,6 @@ def bench_module(bench, repeat, trace):
         if row["compiled_seconds"] > 0 else 0.0
     )
     return row
-
-
-def bench_module_lanes(bench, lanes, repeat, trace, reps):
-    """Lane mode for one module: N seed-varied HR streams driven as N
-    scalar compiled runs vs one N-lane batch.
-
-    ``reps`` replicates each stream so the timed region is long enough
-    to shed scheduler noise (the HR streams alone run ~2 ms).  The
-    per-seed speedup is (total scalar seconds for N seeds) / (batch
-    seconds): how much cheaper one seed became.
-    """
-    streams = [materialize(bench, seed=seed) * reps
-               for seed in range(lanes)]
-    scalar_best = None
-    for _ in range(repeat):
-        total = 0.0
-        for stream in streams:
-            elapsed, _ = drive(bench, "compiled", stream, trace)
-            total += elapsed
-        scalar_best = total if scalar_best is None else min(
-            scalar_best, total)
-    lane_best = None
-    batch = None
-    for _ in range(repeat):
-        elapsed, lane_cycles, batch = drive_lanes(bench, streams,
-                                                  trace=trace)
-        lane_best = elapsed if lane_best is None else min(
-            lane_best, elapsed)
-    cycles = sum(lane_cycles)
-    return {
-        "category": bench.category,
-        "type": bench.type_tag,
-        "lanes": lanes,
-        "cycles": cycles,
-        "compiled_seconds": scalar_best,
-        "compiled_cps": cycles / scalar_best if scalar_best else 0.0,
-        "lane_seconds": lane_best,
-        "lane_cps": cycles / lane_best if lane_best else 0.0,
-        "lane_speedup": scalar_best / lane_best if lane_best else 0.0,
-        "lane_packed": bool(batch.packed),
-        "lane_demotion": batch.demotion,
-    }
-
-
-def lane_table(modules, lanes):
-    """Markdown lane-mode table (CI uploads it as the job summary)."""
-    lines = [
-        f"| {'module':<18} | {'cycles':>7} | {'scalar s':>9} "
-        f"| {'lane s':>9} | {'per-seed':>8} | status |",
-        f"| {'-' * 18} | {'-' * 7}: | {'-' * 9}: | {'-' * 9}: "
-        f"| {'-' * 8}: | :----- |",
-    ]
-    for name in sorted(modules):
-        row = modules[name]
-        status = "packed" if row["lane_packed"] else "scalar-demoted"
-        lines.append(
-            f"| {name:<18} | {row['cycles']:>7} "
-            f"| {row['compiled_seconds']:>9.4f} "
-            f"| {row['lane_seconds']:>9.4f} "
-            f"| {row['lane_speedup']:>7.2f}x | {status} |")
-    packed = [m["lane_speedup"] for m in modules.values()
-              if m["lane_packed"]]
-    overall = [m["lane_speedup"] for m in modules.values()]
-    lines.append("")
-    lines.append(
-        f"geomean per-seed speedup at {lanes} lanes: "
-        f"{geomean(packed):.2f}x over {len(packed)} packed modules, "
-        f"{geomean(overall):.2f}x over all {len(overall)}")
-    return lines
 
 
 def geomean(values):
@@ -193,61 +124,6 @@ def compare_to_baseline(modules, baseline_path, threshold):
     return lines, overall
 
 
-def lane_mode(args, benches):
-    """The ``--lanes N`` leg: per-seed speedup of the lane batch over N
-    scalar compiled runs, gated on ``--lane-floor`` (geomean over the
-    modules that actually packed; scalar-demoted modules run at ~1.0x
-    by construction and are reported but not gated)."""
-    lanes = args.lanes
-    out = args.out
-    if out == "BENCH_sim.json":
-        out = "BENCH_sim_lanes.json"  # never clobber the scalar baseline
-    modules = {}
-    print(f"{'module':<18}{'cycles':>8}{'scalar s':>10}{'lane s':>10}"
-          f"{'per-seed':>10}  status")
-    for bench in benches:
-        row = bench_module_lanes(bench, lanes, max(1, args.repeat),
-                                 args.trace, max(1, args.lane_reps))
-        modules[bench.name] = row
-        status = "packed" if row["lane_packed"] else "scalar-demoted"
-        print(f"{bench.name:<18}{row['cycles']:>8}"
-              f"{row['compiled_seconds']:>10.4f}"
-              f"{row['lane_seconds']:>10.4f}"
-              f"{row['lane_speedup']:>9.2f}x  {status}", flush=True)
-
-    packed = [m["lane_speedup"] for m in modules.values()
-              if m["lane_packed"]]
-    packed_geomean = geomean(packed)
-    summary = {
-        "lanes": lanes,
-        "lane_reps": args.lane_reps,
-        "trace": bool(args.trace),
-        "repeat": args.repeat,
-        "module_count": len(modules),
-        "packed_count": len(packed),
-        "lane_geomean_packed": packed_geomean,
-        "lane_geomean_all": geomean(
-            [m["lane_speedup"] for m in modules.values()]),
-        "modules": modules,
-    }
-    with open(out, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-    table = "\n".join(lane_table(modules, lanes))
-    print()
-    print(table)
-    print(f"wrote {out}")
-    if args.delta_out:
-        with open(args.delta_out, "w") as handle:
-            handle.write(f"## bench_sim lane mode ({lanes} lanes)\n\n"
-                         f"{table}\n")
-    if packed and packed_geomean < args.lane_floor:
-        print(f"FAIL: per-seed geomean {packed_geomean:.2f}x over "
-              f"packed modules is below the {args.lane_floor:.2f}x "
-              f"floor", file=sys.stderr)
-        return REGRESSION_EXIT
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="BENCH_sim.json")
@@ -270,17 +146,6 @@ def main():
     parser.add_argument("--regression-threshold", type=float, default=0.2,
                         help="baseline geomean drop that fails the run "
                              "(fraction, default 0.2 = 20%%)")
-    parser.add_argument("--lanes", type=int, default=None, metavar="N",
-                        help="lane mode: N seed-varied streams as N "
-                             "scalar compiled runs vs one N-lane batch "
-                             "(skips the interp side)")
-    parser.add_argument("--lane-reps", type=int, default=20,
-                        help="stream replication factor in lane mode "
-                             "(longer timed region, less noise)")
-    parser.add_argument("--lane-floor", type=float, default=1.5,
-                        help="minimum geomean per-seed speedup over "
-                             "packed modules; below it lane mode exits "
-                             "non-zero")
     args = parser.parse_args()
 
     benches = all_modules()
@@ -301,9 +166,6 @@ def main():
                 picked.append(bench)
         benches = picked
         args.repeat = min(args.repeat, 2)
-
-    if args.lanes:
-        return lane_mode(args, benches)
 
     modules = {}
     print(f"{'module':<18}{'cycles':>8}{'interp c/s':>12}"

@@ -27,20 +27,6 @@ would otherwise hide:
   (seq/initial live hooks + stable-point comb replay + trace-derived
   toggles).
 
-- with ``--lanes N``, the same campaign re-run through the
-  lane-packed scheduler (same-design units grouped, up to N stimulus
-  seeds advanced per packed simulation step) must reproduce the
-  scalar compiled campaign *bit-for-bit*: identical HR/FR rate
-  tables, identical per-record coverage fragments, identical merged
-  coverage DB, identical records full stop — lane packing is an
-  execution strategy, never a semantics change.  A second,
-  repair-heavy mini campaign (one failing slice replicated across
-  seeds so repair-attempt re-verifications coincide) must also match
-  scalar bit-for-bit *and* post more lane batches than its initial
-  verifications alone account for — proving the lockstep driver
-  actually groups repair re-runs instead of quietly running them
-  scalar.
-
 - the cold pass runs inside a telemetry scope and its span tree must
   contain every expected campaign phase (parse, elaborate, simulate,
   attempt, cache traffic, ...) — a missing phase means the
@@ -69,9 +55,7 @@ would otherwise hide:
 
 Usage: python scripts/ci_smoke.py [--jobs N] [--cache-dir DIR]
                                   [--backend interp|compiled|xcheck]
-                                  [--skip-backend-diff]
                                   [--coverage-out DB.json]
-                                  [--lanes N]
                                   [--telemetry-out DIR]
                                   [--forensics-out DIR]
                                   [--chaos]
@@ -81,7 +65,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from repro.cover.db import CoverageDB
 from repro.errgen.generator import generate_dataset
@@ -135,16 +118,9 @@ def main():
                         help="simulation backend for the main smoke "
                              "campaign (default: interp, or "
                              "REPRO_SIM_BACKEND)")
-    parser.add_argument("--skip-backend-diff", action="store_true",
-                        help="skip the interp-vs-compiled rate-table "
-                             "comparison")
     parser.add_argument("--coverage-out", default=None,
                         help="write the smoke campaign's merged "
                              "coverage DB here (CI uploads it)")
-    parser.add_argument("--lanes", type=int, default=0,
-                        help="also re-run the campaign lane-packed at "
-                             "this width and demand bit-identical "
-                             "results vs scalar compiled (0 = skip)")
     parser.add_argument("--telemetry-out", default=None,
                         help="write the cold campaign's merged "
                              "telemetry JSONL and markdown summary "
@@ -257,147 +233,38 @@ def main():
         print(f"coverage DB written to {args.coverage_out} "
               f"(key {coverage_db.content_key()[:12]})")
 
-    if not args.skip_backend_diff:
-        # Re-run the identical grid on the other backend (fresh unit
-        # cache: backend-keyed entries would all miss anyway) and
-        # demand an identical HR/FR table.
-        other = "compiled" if args.backend != "compiled" else "interp"
-        other_units = expand_grid(instances, METHODS, attempts=ATTEMPTS,
-                                  backend=other)
-        other_cache = ResultCache(tempfile.mkdtemp(prefix="ci-smoke-alt-"))
-        other_records = CampaignRunner(
-            jobs=args.jobs, cache=other_cache
-        ).run(other_units)
-        main_table = rate_table(cold)
-        other_table = rate_table(other_records)
-        if main_table != other_table:
-            return fail(
-                f"HR/FR rate tables diverge between backends: "
-                f"{args.backend}={main_table} vs {other}={other_table}"
-            )
-        main_cov = [r.coverage for r in cold]
-        other_cov = [r.coverage for r in other_records]
-        if main_cov != other_cov:
-            diverged = [
-                cold[i].instance_id
-                for i in range(len(cold)) if main_cov[i] != other_cov[i]
-            ]
-            return fail(
-                f"coverage fragments diverge between backends "
-                f"(functional counters and code-coverage maps must be "
-                f"schedule-invariant); first offenders: {diverged[:5]}"
-            )
-        print(f"backend parity ok: {args.backend} and {other} post "
-              f"identical HR/FR and bit-identical coverage over "
-              f"{len(units)} units")
-
-    if args.lanes > 0:
-        # Lane-parity gate: a fresh-cache lane-packed campaign must
-        # reproduce the scalar compiled campaign bit-for-bit.  Both
-        # sides are *measured* (fresh caches), never replayed, so a
-        # lane-vs-scalar divergence cannot hide behind a cache hit.
-        if args.backend == "compiled":
-            scalar_records = cold
-        else:
-            scalar_units = expand_grid(
-                instances, METHODS, attempts=ATTEMPTS, backend="compiled"
-            )
-            scalar_records = CampaignRunner(
-                jobs=args.jobs,
-                cache=ResultCache(tempfile.mkdtemp(prefix="ci-smoke-sc-")),
-            ).run(scalar_units)
-        lane_units = expand_grid(
-            instances, METHODS, attempts=ATTEMPTS, backend="compiled"
+    # Re-run the identical grid on the other backend (fresh unit
+    # cache: backend-keyed entries would all miss anyway) and
+    # demand an identical HR/FR table.
+    other = "compiled" if args.backend != "compiled" else "interp"
+    other_units = expand_grid(instances, METHODS, attempts=ATTEMPTS,
+                              backend=other)
+    other_cache = ResultCache(tempfile.mkdtemp(prefix="ci-smoke-alt-"))
+    other_records = CampaignRunner(
+        jobs=args.jobs, cache=other_cache
+    ).run(other_units)
+    main_table = rate_table(cold)
+    other_table = rate_table(other_records)
+    if main_table != other_table:
+        return fail(
+            f"HR/FR rate tables diverge between backends: "
+            f"{args.backend}={main_table} vs {other}={other_table}"
         )
-        lane_cache = ResultCache(tempfile.mkdtemp(prefix="ci-smoke-ln-"))
-        lane_runner = CampaignRunner(jobs=args.jobs, cache=lane_cache,
-                                     lanes=args.lanes)
-        lane_records = lane_runner.run(lane_units)
-        scalar_table = rate_table(scalar_records)
-        lane_table = rate_table(lane_records)
-        if lane_table != scalar_table:
-            return fail(
-                f"lane-packed HR/FR rate table diverges from scalar "
-                f"compiled: lanes={lane_table} vs scalar={scalar_table}"
-            )
-        scalar_db = CoverageDB.from_records(scalar_records)
-        lane_db = CoverageDB.from_records(lane_records)
-        if lane_db.content_key() != scalar_db.content_key():
-            return fail(
-                "lane-packed merged coverage DB diverges from scalar "
-                f"compiled: {lane_db.content_key()[:12]} vs "
-                f"{scalar_db.content_key()[:12]}"
-            )
-        if lane_records != scalar_records:
-            diverged = [
-                scalar_records[i].instance_id
-                for i in range(len(scalar_records))
-                if lane_records[i] != scalar_records[i]
-            ]
-            return fail(
-                f"lane-packed records diverge from scalar compiled "
-                f"(beyond the rate/coverage tables); first offenders: "
-                f"{diverged[:5]}"
-            )
-        stats = lane_runner.lane_stats
-        print(f"lane parity ok at {args.lanes} lanes: "
-              f"{stats['packed_batches']} packed batches, "
-              f"{stats['demoted_batches']} scalar-demoted; records, "
-              f"HR/FR tables and merged coverage bit-identical over "
-              f"{len(lane_units)} units")
-
-        # Repair-heavy leg: one failing slice replicated across base
-        # seeds, so several units of each design group fail their
-        # initial verification together and their repair-attempt
-        # re-verifications coincide.  Each group's shared initial pass
-        # accounts for at most one batch at this lane width — any
-        # batch beyond that count came from the lockstep repair
-        # rounds, which is exactly what this leg must prove happens.
-        repair_subset = generate_dataset(
-            seed=0, per_operator=2, target=None, modules=["counter_12"],
-            cache_dir=dataset_cache_dir,
+    main_cov = [r.coverage for r in cold]
+    other_cov = [r.coverage for r in other_records]
+    if main_cov != other_cov:
+        diverged = [
+            cold[i].instance_id
+            for i in range(len(cold)) if main_cov[i] != other_cov[i]
+        ]
+        return fail(
+            f"coverage fragments diverge between backends "
+            f"(functional counters and code-coverage maps must be "
+            f"schedule-invariant); first offenders: {diverged[:5]}"
         )
-        repair_units = []
-        for seed in range(3):
-            for unit in expand_grid(repair_subset, ("uvllm",),
-                                    attempts=ATTEMPTS, base_seed=seed,
-                                    backend="compiled"):
-                repair_units.append(
-                    replace(unit, index=len(repair_units)))
-        scalar_repair = CampaignRunner(
-            jobs=args.jobs,
-            cache=ResultCache(tempfile.mkdtemp(prefix="ci-smoke-rs-")),
-        ).run(repair_units)
-        repair_runner = CampaignRunner(
-            jobs=args.jobs,
-            cache=ResultCache(tempfile.mkdtemp(prefix="ci-smoke-rl-")),
-            lanes=args.lanes,
-        )
-        lane_repair = repair_runner.run(repair_units)
-        if lane_repair != scalar_repair:
-            diverged = [
-                scalar_repair[i].instance_id
-                for i in range(len(scalar_repair))
-                if lane_repair[i] != scalar_repair[i]
-            ]
-            return fail(
-                f"repair-heavy lane campaign records diverge from "
-                f"scalar compiled; first offenders: {diverged[:5]}"
-            )
-        rstats = repair_runner.lane_stats
-        batches = rstats["packed_batches"] + rstats["demoted_batches"]
-        groups = len(repair_subset)
-        if batches <= groups:
-            return fail(
-                f"repair-heavy lane campaign dispatched {batches} lane "
-                f"batches over {groups} design groups — at most one "
-                f"initial batch per group, so repair re-verifications "
-                f"are not being lane-grouped"
-            )
-        print(f"repair-heavy lane parity ok: {len(repair_units)} units "
-              f"in {groups} groups dispatched {batches} lane batches "
-              f"({batches - groups}+ from lockstep repair rounds); "
-              f"records bit-identical to scalar compiled")
+    print(f"backend parity ok: {args.backend} and {other} post "
+          f"identical HR/FR and bit-identical coverage over "
+          f"{len(units)} units")
 
     code = forensics_gate(args)
     if code:

@@ -25,7 +25,7 @@ Commands:
 - ``report <telemetry-dir>`` — summarize the span/metrics shards a
   ``--telemetry`` campaign or fuzz run wrote: per-phase wall-time
   breakdown, cache hit rates, per-module cycles/sec, slowest units,
-  lane-demotion histogram; ``--trace-out`` exports a Chrome
+  fault-tolerance counters; ``--trace-out`` exports a Chrome
   trace-event JSON loadable in Perfetto;
 - ``fuzz`` — differential fuzzing: generate seeded random designs
   and run each through the xcheck lockstep + printer round-trip +
@@ -166,7 +166,7 @@ def _cmd_campaign(args):
         shard_units,
     )
     from repro.runner.cache import record_to_dict
-    from repro.runner.scheduler import default_jobs, default_lanes
+    from repro.runner.scheduler import default_jobs
 
     methods = (
         tuple(args.methods.split(",")) if args.methods else METHODS
@@ -185,23 +185,6 @@ def _cmd_campaign(args):
                   f"(see 'bench-list')", file=sys.stderr)
             return 2
     jobs = args.jobs if args.jobs > 0 else default_jobs()
-    if args.lanes is None or args.lanes == "auto":
-        # Explicit 'auto' insists REPRO_SIM_LANES is set; with the
-        # flag omitted an unset variable just means 1 — but a set,
-        # malformed variable is an error either way, never a silent
-        # fallback to a serial campaign.
-        try:
-            lanes = default_lanes(require=args.lanes == "auto")
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    else:
-        try:
-            lanes = max(1, int(args.lanes))
-        except ValueError:
-            print(f"bad --lanes value '{args.lanes}' (want an integer "
-                  f"or 'auto')", file=sys.stderr)
-            return 2
     shard = None
     if args.shard:
         try:
@@ -244,7 +227,7 @@ def _cmd_campaign(args):
 
     try:
         records = run_units(units, jobs=jobs, cache_dir=args.cache_dir,
-                            show_progress=True, lanes=lanes,
+                            show_progress=True,
                             telemetry=args.telemetry,
                             forensics_capture=args.forensics,
                             unit_timeout=args.unit_timeout,
@@ -710,13 +693,6 @@ def build_parser():
                           help="simulation backend for every UVM run "
                                "(default: interp, or REPRO_SIM_BACKEND); "
                                "cache records are keyed per backend")
-    campaign.add_argument("--lanes", default=None,
-                          help="pack up to N stimulus seeds per "
-                               "same-design simulation batch (compiled "
-                               "backend only; records are bit-identical "
-                               "to --lanes 1). 'auto' requires "
-                               "REPRO_SIM_LANES to hold the count; "
-                               "omitted, REPRO_SIM_LANES if set, else 1")
     campaign.add_argument("--records", default=None,
                           help="write per-unit records as JSONL here")
     campaign.add_argument("--coverage-db", default=None,

@@ -31,23 +31,6 @@ from repro.uvm.test import run_uvm_test
 
 
 @dataclass
-class VerifyRequest:
-    """One UVM verification the repair pipeline is waiting on.
-
-    ``UVLLM.verify_and_repair_steps`` yields these instead of calling
-    :func:`repro.uvm.test.run_uvm_test` directly; the driver runs (or
-    lane-batches) the request and sends the ``TestResult`` back in.
-    The request is a pure ``(source, sequence)`` pair — protocol,
-    reference model and compare signals come from the bench the driver
-    already holds, so grouped and scalar execution consume identical
-    inputs.
-    """
-
-    source: str
-    sequence: object
-
-
-@dataclass
 class VerificationOutcome:
     """Result of one UVLLM run on one DUT instance."""
 
@@ -76,57 +59,12 @@ class UVLLM:
         self.config = config or UVLLMConfig()
         self.linter = Linter()
 
-    def verify_and_repair(self, source, bench, sequence=None,
-                          initial_result=None):
+    def verify_and_repair(self, source, bench):
         """Run the pipeline on ``source`` against benchmark ``bench``.
 
-        ``bench`` supplies the spec, drive protocol, reference model and
-        compare signals; ``sequence`` overrides the default HR stimulus.
-
-        ``initial_result`` is an optional precomputed UVM result for
-        ``source`` under ``sequence`` (the lane-packed campaign runner
-        computes one per stimulus seed for a whole group of units in a
-        single packed simulation).  It is only trusted when the
-        pre-processor leaves the source untouched — otherwise the
-        pipeline re-verifies exactly as it would have without it, so
-        outcomes are bit-identical either way; the caller must pass the
-        matching ``sequence``.
-
-        This is the scalar driver over
-        :meth:`verify_and_repair_steps`: every verification the
-        pipeline requests runs immediately via ``run_uvm_test``.  The
-        lane-grouped campaign path drives the same generator and
-        batches coinciding sibling requests instead — outcomes are
-        bit-identical because the generator never observes *how* its
-        request was executed.
-        """
-        steps = self.verify_and_repair_steps(
-            source, bench, sequence=sequence,
-            initial_result=initial_result,
-        )
-        result = None
-        while True:
-            try:
-                request = steps.send(result)
-            except StopIteration as stop:
-                return stop.value
-            result = run_uvm_test(
-                request.source, request.sequence, bench.protocol,
-                bench.model(), bench.compare_signals, top=bench.top,
-            )
-
-    def verify_and_repair_steps(self, source, bench, sequence=None,
-                                initial_result=None):
-        """Generator form of the pipeline: yields a
-        :class:`VerifyRequest` for every UVM run it needs and receives
-        the matching ``TestResult`` via ``send``; returns the
-        :class:`VerificationOutcome` (as ``StopIteration.value``).
-
-        All pipeline state (LLM calls, timing, rollback register) is
-        internal to the generator, so interleaving several instances —
-        the repair-attempt lane grouping in
-        :func:`repro.experiments.runner.execute_unit_group` — cannot
-        change any one instance's outcome.
+        ``bench`` supplies the spec, drive protocol, reference model,
+        compare signals and the HR stimulus (``config.hr_seed`` and
+        ``config.stimulus`` pick the sequence).
         """
         from repro.bench.registry import make_hr_sequence
 
@@ -141,9 +79,8 @@ class UVLLM:
             self.llm, timing, config.preprocess_iterations, spec=bench.spec
         )
 
-        if sequence is None:
-            sequence = make_hr_sequence(bench, seed=config.hr_seed,
-                                        stimulus=config.stimulus)
+        sequence = make_hr_sequence(bench, seed=config.hr_seed,
+                                    stimulus=config.stimulus)
 
         current, prep_report = preprocessor.run(source)
         preprocess_changed = current != source
@@ -153,12 +90,8 @@ class UVLLM:
             preprocess_changed=preprocess_changed,
         )
 
-        if initial_result is not None and not preprocess_changed:
-            result = initial_result
-            self._account(result, timing, stage="preprocess")
-        else:
-            result = yield VerifyRequest(current, sequence)
-            self._account(result, timing, stage="preprocess")
+        result = self._run_uvm(current, bench, sequence, timing,
+                               stage="preprocess")
         outcome.pass_rate_history.append(result.pass_rate if result.ok else 0.0)
         if result.all_passed:
             outcome.hit = True
@@ -191,8 +124,8 @@ class UVLLM:
             if lint.errors:
                 candidate, _ = preprocessor.run(candidate)
 
-            candidate_result = yield VerifyRequest(candidate, sequence)
-            self._account(candidate_result, timing, stage=stage)
+            candidate_result = self._run_uvm(candidate, bench, sequence,
+                                             timing, stage=stage)
             score = candidate_result.pass_rate if candidate_result.ok \
                 else -1.0
             outcome.pass_rate_history.append(max(score, 0.0))
@@ -235,12 +168,17 @@ class UVLLM:
 
     # -- helpers -------------------------------------------------------------
 
-    def _account(self, result, timing, stage):
+    def _run_uvm(self, source, bench, sequence, timing, stage):
+        result = run_uvm_test(
+            source, sequence, bench.protocol, bench.model(),
+            bench.compare_signals, top=bench.top,
+        )
         events = (
             result.simulator.event_count if result.simulator is not None
             else 200
         )
         timing.simulation(events, stage=stage)
+        return result
 
     def _finalize(self, outcome, source, timing, register, calls_before,
                   cost_before):

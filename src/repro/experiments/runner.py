@@ -196,8 +196,7 @@ def _make_method(method, seed, config_overrides=None):
 
 
 def run_method_on_instance(method, instance, attempts=3, base_seed=0,
-                           config_overrides=None, backend=None,
-                           shared_initial=None):
+                           config_overrides=None, backend=None):
     """Run one method on one error instance (pass@``attempts``).
 
     Attempt ``k`` uses LLM seed ``base_seed + k``, making the outcome a
@@ -214,55 +213,9 @@ def run_method_on_instance(method, instance, attempts=3, base_seed=0,
     instance) — roughly a tenth of a unit's cost next to the repair
     loop's own UVM runs, and the price of the campaign-wide coverage
     database being complete rather than opt-in.
-
-    ``shared_initial`` maps ``(hr_seed, stimulus)`` to a
-    ``(sequence, TestResult)`` pair precomputed for this instance's
-    buggy source (by :func:`execute_unit_group`'s lane batch); the
-    UVLLM variants reuse the matching entry as their initial UVM run —
-    which :meth:`UVLLM.verify_and_repair` only trusts when the
-    pre-processor leaves the source unchanged, keeping the record a
-    pure function of the unit's fields.
     """
     backend = backend or get_default_backend()
     bench = get_module(instance.module_name)
-    with use_backend(backend):
-        return _drive_unit_scalar(
-            unit_steps(method, instance, bench, attempts=attempts,
-                       base_seed=base_seed,
-                       config_overrides=config_overrides,
-                       shared_initial=shared_initial),
-            bench,
-        )
-
-
-def _drive_unit_scalar(steps, bench):
-    """Run one unit generator to completion, executing every yielded
-    :class:`~repro.core.framework.VerifyRequest` immediately (the
-    ungrouped execution path); returns the unit's record."""
-    result = None
-    while True:
-        try:
-            request = steps.send(result)
-        except StopIteration as stop:
-            return stop.value
-        result = run_uvm_test(
-            request.source, request.sequence, bench.protocol,
-            bench.model(), bench.compare_signals, top=bench.top,
-        )
-
-
-def unit_steps(method, instance, bench, attempts=3, base_seed=0,
-               config_overrides=None, shared_initial=None):
-    """Generator form of :func:`run_method_on_instance`.
-
-    Yields a :class:`~repro.core.framework.VerifyRequest` for every
-    UVM verification a uvllm-family repair loop performs and receives
-    the ``TestResult`` via ``send``; returns the finished
-    :class:`InstanceRecord`.  Baseline methods never yield (their
-    engines simulate internally).  The caller owns backend scoping —
-    requests must be executed under the same simulation backend the
-    generator's own runs (coverage, FR oracle) see.
-    """
     record = InstanceRecord(
         instance_id=instance.instance_id,
         module_name=instance.module_name,
@@ -273,46 +226,36 @@ def unit_steps(method, instance, bench, attempts=3, base_seed=0,
     )
     total_seconds = 0.0
     outcome = None
-    record.coverage = collect_unit_coverage(instance, bench)
-    for attempt in range(attempts):
-        engine = _make_method(method, seed=base_seed + attempt,
-                              config_overrides=config_overrides)
-        with trace.span("attempt", cat="repair", method=method,
-                        attempt=attempt,
-                        instance=instance.instance_id) as sp:
-            if method.startswith("uvllm"):
-                shared = None
-                if shared_initial:
-                    shared = shared_initial.get(
-                        (engine.config.hr_seed, engine.config.stimulus)
-                    )
-                if shared is not None:
-                    outcome = yield from engine.verify_and_repair_steps(
-                        instance.buggy_source, bench,
-                        sequence=shared[0], initial_result=shared[1],
-                    )
-                else:
-                    outcome = yield from engine.verify_and_repair_steps(
+    with use_backend(backend):
+        record.coverage = collect_unit_coverage(instance, bench)
+        for attempt in range(attempts):
+            engine = _make_method(method, seed=base_seed + attempt,
+                                  config_overrides=config_overrides)
+            with trace.span("attempt", cat="repair", method=method,
+                            attempt=attempt,
+                            instance=instance.instance_id) as sp:
+                if method.startswith("uvllm"):
+                    outcome = engine.verify_and_repair(
                         instance.buggy_source, bench
                     )
-            else:
-                outcome = engine.repair(instance.buggy_source, bench)
-            sp.set(hit=bool(outcome.hit))
-        total_seconds += outcome.seconds
-        record.attempts_used = attempt + 1
-        if outcome.hit:
-            break
-        if method in ("strider", "rtlrepair"):
-            break  # deterministic: retrying cannot change the answer
-    record.hit = bool(outcome and outcome.hit)
-    record.seconds = total_seconds / max(1, record.attempts_used)
-    record.stage = getattr(outcome, "stage", None)
-    record.stage_seconds = dict(
-        getattr(outcome, "stage_seconds", {}) or {}
-    )
-    record.rollbacks = int(getattr(outcome, "rollbacks", 0) or 0)
-    if record.hit and outcome is not None:
-        record.fixed = evaluate_fix(outcome.final_source, bench)
+                else:
+                    outcome = engine.repair(instance.buggy_source, bench)
+                sp.set(hit=bool(outcome.hit))
+            total_seconds += outcome.seconds
+            record.attempts_used = attempt + 1
+            if outcome.hit:
+                break
+            if method in ("strider", "rtlrepair"):
+                break  # deterministic: retrying cannot change the answer
+        record.hit = bool(outcome and outcome.hit)
+        record.seconds = total_seconds / max(1, record.attempts_used)
+        record.stage = getattr(outcome, "stage", None)
+        record.stage_seconds = dict(
+            getattr(outcome, "stage_seconds", {}) or {}
+        )
+        record.rollbacks = int(getattr(outcome, "rollbacks", 0) or 0)
+        if record.hit and outcome is not None:
+            record.fixed = evaluate_fix(outcome.final_source, bench)
     return record
 
 
@@ -356,171 +299,20 @@ def run_unit(unit):
     )
 
 
-def _sequence_key(unit):
-    """The ``(hr_seed, stimulus)`` pair naming the HR sequence a
-    uvllm-family unit verifies against (mirrors :func:`_make_method`'s
-    config construction: ``hr_seed`` defaults to 0, ``stimulus`` to
-    the :class:`UVLLMConfig` default, overrides win)."""
-    overrides = dict(unit.config_overrides)
-    return (overrides.get("hr_seed", 0),
-            overrides.get("stimulus", UVLLMConfig.stimulus))
-
-
-def execute_unit_group(units, lanes):
-    """Execute one design-fingerprint group of campaign units.
-
-    Every unit in the group verifies the *same buggy source*, so the
-    initial UVM run of every uvllm-family attempt — always the first
-    and often the heaviest simulation of the repair pipeline — is
-    computed once per distinct ``(hr_seed, stimulus)`` stimulus as one
-    lane-packed batch (:func:`repro.uvm.lanes.run_uvm_test_lanes`:
-    up to ``lanes`` seeds advance per packed ``settle``/``tick``) and
-    shared across all attempts of all units.
-
-    After the shared initial batch, the group's units run as
-    *lockstep generators* (:func:`unit_steps`): whenever several live
-    units are simultaneously waiting on a verification of the same
-    candidate source — repair-attempt re-runs whose proposed patches
-    coincide, or initial re-verifications after identical pre-processor
-    rewrites — those requests execute as one lane batch too; singleton
-    requests run scalar.
-
-    Bit-identity with ungrouped execution holds because (a) the lane
-    runner's per-lane results are bit-identical to scalar compiled
-    runs, and (b) the shared result is only consumed where the scalar
-    path would have recomputed exactly it: ``verify_and_repair``
-    ignores it whenever the pre-processor rewrites the source, and the
-    batch is skipped outright for lint-dirty sources (where rewriting
-    is certain).  Each unit generator is a pure function of its own
-    unit fields (its requests carry no cross-unit state), so records
-    split back into the exact per-unit cache records a ``--lanes 1``
-    campaign produces.
-
-    Returns ``(records, lane_infos)``: records in unit order, one
-    ``{"lanes", "packed", "demotion"}`` info dict per batch dispatched
-    (for the campaign's lane-batch counters).
-    """
-    from repro.uvm.lanes import run_uvm_test_lanes
-
-    units = list(units)
-    instance = units[0].instance
-    bench = get_module(instance.module_name)
-    backend = getattr(units[0], "backend", None) or get_default_backend()
-    keys = []
-    for unit in units:
-        if unit.method.startswith("uvllm"):
-            key = _sequence_key(unit)
-            if key not in keys:
-                keys.append(key)
-    if keys and Linter().lint(instance.buggy_source).errors:
-        keys = []
-    shared_initial = {}
-    lane_infos = []
-    width = max(1, int(lanes))
-    records = [None] * len(units)
-    with use_backend(backend):
-        for start in range(0, len(keys), width):
-            chunk = keys[start:start + width]
-            sequences = [
-                make_hr_sequence(bench, seed=hr_seed, stimulus=stimulus)
-                for hr_seed, stimulus in chunk
-            ]
-            results, info = run_uvm_test_lanes(
-                instance.buggy_source, sequences, bench.protocol,
-                bench.model, bench.compare_signals, top=bench.top,
-            )
-            lane_infos.append(info)
-            for key, sequence, result in zip(chunk, sequences, results):
-                shared_initial[key] = (sequence, result)
-
-        # -- lockstep repair loops ---------------------------------------
-        live = {}
-        benches = {}
-        for index, unit in enumerate(units):
-            unit_backend = (getattr(unit, "backend", None)
-                            or get_default_backend())
-            if unit_backend != backend:
-                # A mixed-backend group (never produced by the
-                # scheduler's planner): run the stray unit whole under
-                # its own backend rather than mis-scope its requests.
-                records[index] = run_method_on_instance(
-                    unit.method, unit.instance, attempts=unit.attempts,
-                    base_seed=unit.base_seed,
-                    config_overrides=dict(unit.config_overrides),
-                    backend=unit_backend,
-                    shared_initial=shared_initial,
-                )
-                continue
-            benches[index] = get_module(unit.instance.module_name)
-            live[index] = unit_steps(
-                unit.method, unit.instance, benches[index],
-                attempts=unit.attempts, base_seed=unit.base_seed,
-                config_overrides=dict(unit.config_overrides),
-                shared_initial=shared_initial,
-            )
-        inbox = {}
-        while live:
-            pending = {}
-            for index in sorted(live):
-                try:
-                    pending[index] = live[index].send(
-                        inbox.pop(index, None))
-                except StopIteration as stop:
-                    records[index] = stop.value
-                    del live[index]
-            if not pending:
-                continue
-            # Group coinciding requests: same candidate source, same
-            # bench (the lane batch drives one protocol/model family).
-            rounds = {}
-            for index in sorted(pending):
-                key = (pending[index].source,
-                       units[index].instance.module_name)
-                rounds.setdefault(key, []).append(index)
-            for (source, _module), members in rounds.items():
-                for start in range(0, len(members), width):
-                    chunk = members[start:start + width]
-                    chunk_bench = benches[chunk[0]]
-                    if len(chunk) > 1:
-                        sequences = [pending[m].sequence for m in chunk]
-                        results, info = run_uvm_test_lanes(
-                            source, sequences, chunk_bench.protocol,
-                            chunk_bench.model,
-                            chunk_bench.compare_signals,
-                            top=chunk_bench.top,
-                        )
-                        lane_infos.append(info)
-                        for m, result in zip(chunk, results):
-                            inbox[m] = result
-                    else:
-                        m = chunk[0]
-                        inbox[m] = run_uvm_test(
-                            source, pending[m].sequence,
-                            chunk_bench.protocol, chunk_bench.model(),
-                            chunk_bench.compare_signals,
-                            top=chunk_bench.top,
-                        )
-    return records, lane_infos
-
-
 def run_methods(instances, methods, attempts=3, progress=None, jobs=1,
-                cache_dir=None, show_progress=False, backend=None,
-                lanes=1):
+                cache_dir=None, show_progress=False, backend=None):
     """Run several methods over a dataset; returns a list of records.
 
     Record order is instance-major, method-minor regardless of
     ``jobs``.  ``progress`` (if given) is called as
     ``progress(done_units, total_units)`` after each resolved unit;
     ``cache_dir`` memoizes finished records on disk; ``backend``
-    selects the simulation backend for every unit; ``lanes > 1`` lets
-    the scheduler pack same-design compiled units into lane batches
-    (bit-identical records either way).
+    selects the simulation backend for every unit.
     """
     units = expand_grid(instances, methods, attempts=attempts,
                         backend=backend)
     return run_units(units, jobs=jobs, cache_dir=cache_dir,
-                     progress=progress, show_progress=show_progress,
-                     lanes=lanes)
+                     progress=progress, show_progress=show_progress)
 
 
 def group_records(records, key):

@@ -288,10 +288,7 @@ def capture_unit_failure(unit, record):
     already final — capture only reads it).  A unit "fails" when its
     repair never hit; the bundle archives the *initial verification*
     failure on the buggy source: the mismatching UVM run re-executed
-    scalar on the reference interpreter with a recording simulator
-    (this is also the lane-demotion path: a unit that originally ran
-    inside a packed lane batch gets its waveform from this dedicated
-    traced scalar re-run).
+    on the reference interpreter with a recording simulator.
     """
     if not enabled():
         return None

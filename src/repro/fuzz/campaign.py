@@ -27,10 +27,13 @@ from repro.obs import sink, trace
 from repro.runner.cache import ResultCache
 from repro.runner.scheduler import run_units
 
-#: Bump when verdict semantics change; folded into every cache key
-#: and checked on reads (fuzz verdicts version independently of the
-#: campaign record schema).
-FUZZ_SCHEMA_VERSION = 1
+#: Bump when verdict semantics change — including whenever the set of
+#: checks ``run_oracle`` performs changes, since the key does not hash
+#: the oracle itself; folded into every cache key and checked on reads
+#: (fuzz verdicts version independently of the campaign record
+#: schema).  v2: the oracle dropped its fifth check, so verdicts
+#: cached under v1 may carry that check's findings.
+FUZZ_SCHEMA_VERSION = 2
 
 
 @dataclass

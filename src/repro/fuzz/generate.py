@@ -46,7 +46,7 @@ from repro.hdl.printer import print_module
 #: into fuzz-unit cache keys so stale verdicts never alias.
 #: v2: signed-heavy signals (inputs/regs), multi-memory designs with
 #: sync read ports, constant/out-of-range stores and signed-cast
-#: writes — the newly lane-packable paths.
+#: writes.
 GENERATOR_VERSION = 2
 
 _BINARY_OPS = (
@@ -659,7 +659,7 @@ def _emit_seq(b, seq_regs, fsm, memories, has_reset):
             if rng.random() < 0.3:
                 # A $signed cast makes the stored word carry the
                 # signed flag — per-word signedness is architectural
-                # state the lane planes must reproduce.
+                # state both engines must reproduce.
                 value = ast.FunctionCall(name="$signed", args=[value])
                 b.features.add("signed-memory-write")
             if rng.random() < 0.3:

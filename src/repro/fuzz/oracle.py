@@ -1,4 +1,4 @@
-"""The fuzzing oracle: one generated design, five independent checks.
+"""The fuzzing oracle: one generated design, four independent checks.
 
 Given a design's source and a pin-level stimulus (an explicit op
 list, so corpus entries replay without the generator), the oracle:
@@ -16,11 +16,7 @@ list, so corpus entries replay without the generator), the oracle:
    interpreter under the same stimulus, must produce the exact
    value-change trace of the original (a printer bug that flips
    precedence or drops a statement shows up here even when the
-   design signature survives);
-5. **lane parity** — a 4-lane packed batch must match four scalar
-   compiled simulators bit-for-bit under per-lane perturbed stimulus
-   (state, time, event counts, and traces — the
-   :mod:`repro.sim.compile.lanes` isolation contract).
+   design signature survives).
 
 A verdict is ``None`` (all checks passed) or a :class:`FuzzFailure`
 with a stable ``kind`` — the signature the shrinker preserves while
@@ -32,11 +28,7 @@ from dataclasses import dataclass
 from repro.hdl.errors import HdlSyntaxError
 from repro.hdl.parser import parse_source
 from repro.hdl.printer import print_module
-from repro.sim.compile.xcheck import (
-    XCheckDivergence,
-    XCheckSimulator,
-    run_lane_parity,
-)
+from repro.sim.compile.xcheck import XCheckDivergence, XCheckSimulator
 from repro.sim.elaborate import elaborate
 from repro.sim.engine import Simulator
 from repro.sim.values import Value
@@ -220,18 +212,6 @@ def run_oracle(source, ops):
             "roundtrip-trace",
             _diff_dict(sim.ref.trace, printed_sim.trace, "trace"),
         )
-
-    # 5. lane parity — a 4-lane packed batch (lane 0 replaying these
-    # ops, lanes 1..3 under deterministic per-lane perturbations) must
-    # match four scalar compiled simulators bit-for-bit, traces and
-    # event counts included.
-    try:
-        run_lane_parity(source, ops, lanes=4)
-    except XCheckDivergence as exc:
-        return FuzzFailure("lane-parity", str(exc))
-    except Exception as exc:
-        return FuzzFailure(f"lane-run-error:{type(exc).__name__}",
-                           str(exc))
     return None
 
 

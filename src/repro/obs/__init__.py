@@ -14,7 +14,7 @@ Telemetry is sidecar-only: nothing here may influence
 """
 
 from . import export, metrics, sink, trace
-from .metrics import GLOBAL, MetricsRegistry, classify_demotion
+from .metrics import GLOBAL, MetricsRegistry
 from .trace import span
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "span",
     "GLOBAL",
     "MetricsRegistry",
-    "classify_demotion",
 ]

@@ -9,12 +9,10 @@ Two consumers of merged telemetry shards:
 - :func:`summarize` computes the run report that ``repro.cli report``
   prints: per-phase wall-time breakdown (total and self time), cache
   hit rates, per-module simulated cycles/sec, the top-N slowest units,
-  and the lane-demotion histogram.
+  and the fault-tolerance counters.
 """
 
 import json
-
-from .metrics import DEMOTION_CATEGORIES
 
 
 def chrome_trace(spans):
@@ -153,17 +151,10 @@ def summarize(spans, metrics, top=10, opens=None):
                              - counters.get("kernel.disk_hits", 0)),
     }
 
-    demotions = {}
-    for cat in DEMOTION_CATEGORIES:
-        n = counters.get("lanes.demotion." + cat, 0)
-        if n:
-            demotions[cat] = n
-
     faults = {
         key: counters.get("faults." + key, 0)
         for key in ("retries", "quarantined", "pool_respawns",
-                    "timeouts", "worker_deaths", "group_resplits",
-                    "cache_write_errors")
+                    "timeouts", "worker_deaths", "cache_write_errors")
         if counters.get("faults." + key, 0)
     }
     if counters.get("unit_cache.corrupt", 0):
@@ -175,7 +166,6 @@ def summarize(spans, metrics, top=10, opens=None):
         "incomplete_units": _incomplete_units(spans, opens or []),
         "modules": {name: modules[name] for name in sorted(modules)},
         "caches": caches,
-        "demotions": demotions,
         "faults": faults,
         "counters": dict(sorted(counters.items())),
         "span_count": len(spans),
@@ -252,13 +242,6 @@ def render_summary(report, markdown=False):
         for row in incomplete:
             lines.append("  %8s+ %s INCOMPLETE"
                          % (_fmt_seconds(row["seconds"]), row["label"]))
-        lines.append("")
-
-    demotions = report.get("demotions", {})
-    if demotions:
-        lines.append(bold("Lane demotions"))
-        for cat, n in sorted(demotions.items(), key=lambda kv: -kv[1]):
-            lines.append("  %-22s %d" % (cat, n))
         lines.append("")
 
     faults = report.get("faults", {})

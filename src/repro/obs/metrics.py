@@ -1,8 +1,8 @@
 """Unified metrics registry: counters and histograms with delta/merge.
 
 This replaces the ad-hoc stat plumbing that grew organically across
-the runner (``kernel_stats`` dicts shipped back from pool workers, the
-lane packed/demoted tallies, cache hit counters): every layer now
+the runner (``kernel_stats`` dicts shipped back from pool workers,
+cache hit counters): every layer now
 increments named counters or observes named histograms in a registry,
 and workers ship one :func:`MetricsRegistry.delta` snapshot — a plain
 JSON-pure dict — back to the scheduler, which :func:`absorb`\\ s it.
@@ -28,46 +28,6 @@ from collections import deque
 
 #: Rolling-window size for recent histogram samples (ETA smoothing).
 ROLLING_WINDOW = 32
-
-#: Canonical lane-demotion categories (satellite: free-text
-#: ``ScalarLaneBatch.demotion`` reasons become structured counters
-#: ``lanes.demotion.<category>``).
-DEMOTION_CATEGORIES = (
-    "memories",
-    "system-functions",
-    "comb-cycle",
-    "per-process-shim",
-    "stimulus-misaligned",
-    "empty-sequence",
-    "construction-failed",
-    "packed-run-failed",
-    "other",
-)
-
-
-def classify_demotion(reason):
-    """Map a free-text lane-demotion reason to a stable category."""
-    text = (reason or "").lower()
-    if not text:
-        return "other"
-    if "memor" in text:
-        return "memories"
-    if "$time" in text or "$stime" in text or "$random" in text:
-        return "system-functions"
-    if "levelizable" in text or "comb" in text:
-        return "comb-cycle"
-    if "shim would regress" in text:
-        return "per-process-shim"
-    if "not shape-aligned" in text or "sequences" in text:
-        return "stimulus-misaligned"
-    if "empty sequence" in text:
-        return "empty-sequence"
-    if "construction failed" in text:
-        return "construction-failed"
-    if "packed run failed" in text:
-        return "packed-run-failed"
-    return "other"
-
 
 def _bucket(value):
     """Log2 bucket index for a non-negative sample (seconds-ish)."""
@@ -183,7 +143,7 @@ class MetricsRegistry:
         """The JSON-pure difference between now and a prior snapshot.
 
         This is the one ``StatsDelta`` shape workers ship back to the
-        scheduler (replacing the bespoke kernel/lane stat dicts).
+        scheduler (replacing the bespoke kernel stat dicts).
         """
         before_counters = before.get("counters", {})
         counters = {}

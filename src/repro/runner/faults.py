@@ -72,8 +72,9 @@ class FaultPolicy:
     ``unit_timeout`` of ``None`` disables both the worker-side alarm
     and the scheduler-side deadline (the historical behaviour: a hung
     unit hangs the campaign).  ``max_strikes`` is how many
-    infrastructure failures a unit survives before quarantine — the
-    default 2 implements "a unit that kills its worker twice is
+    infrastructure failures blamed on a unit (its own timeout, or a
+    worker death while it ran solo) it survives before quarantine —
+    the default 2 implements "a unit that kills its worker twice is
     poisoned".  ``backoff`` seeds the deterministic exponential
     re-dispatch delay ``backoff * 2**(strikes-1)``.  ``fail_fast``
     restores abort-on-first-failure for every failure family.

@@ -56,20 +56,6 @@ class WorkUnit:
     backend: str = "interp"
 
     @property
-    def design_fingerprint(self):
-        """Identity of the DUT this unit simulates (module + buggy
-        source).  Units sharing a fingerprint verify the *same design*
-        under different methods/configs, so the lane-packing scheduler
-        can batch their initial verification runs into one packed
-        simulation.  Deliberately NOT part of :meth:`cache_key`:
-        grouping is an execution strategy, and records must be
-        bit-identical (and cache-compatible) whatever the grouping.
-        """
-        return _sha(
-            self.instance.module_name + "\n" + self.instance.buggy_source
-        )
-
-    @property
     def unit_id(self):
         """Human-readable identity (progress lines, logs)."""
         suffix = ""

@@ -22,27 +22,8 @@ def format_kernel_stats(kernels):
     return text
 
 
-def format_lane_stats(lanes):
-    """Lane-batch summary fragment, or "" when no batches ran.
-
-    Reads ``lanes {width}x{packed} packed / {demoted} scalar-demoted``:
-    how many batches actually advanced ``width`` seeds per packed step
-    versus falling back to per-lane scalar simulation.
-    """
-    if not lanes:
-        return ""
-    packed = lanes.get("packed_batches", 0)
-    demoted = lanes.get("demoted_batches", 0)
-    if not packed and not demoted:
-        return ""
-    text = f" lanes {lanes.get('lanes', 0)}x{packed} packed"
-    if demoted:
-        text += f" / {demoted} scalar-demoted"
-    return text
-
-
 def format_progress(done, total, elapsed, cached=0, kernels=None,
-                    lanes=None, eta_seconds=None):
+                    eta_seconds=None):
     """Render one status line; pure function for testability.
 
     ``eta_seconds`` is a precomputed remaining-time estimate (the
@@ -64,7 +45,7 @@ def format_progress(done, total, elapsed, cached=0, kernels=None,
     cached_text = f" ({cached} cached)" if cached else ""
     return (f"[campaign] {done}/{total} units ({percent:.0f}%)"
             f"{cached_text} elapsed {_duration(elapsed)}{eta_text}"
-            f"{format_kernel_stats(kernels)}{format_lane_stats(lanes)}")
+            f"{format_kernel_stats(kernels)}")
 
 
 def _duration(seconds):
@@ -88,13 +69,11 @@ class ProgressReporter:
         self.done = 0
         self.cached = 0
 
-    def update(self, done, cached=0, kernels=None, lanes=None,
-               eta_seconds=None):
+    def update(self, done, cached=0, kernels=None, eta_seconds=None):
         """Advance to ``done`` completed units (``cached`` of them
         hits); ``kernels`` is the compiled-kernel cache aggregate so
-        far (compile/hit counters stream live), ``lanes`` the
-        lane-batch aggregate, ``eta_seconds`` the scheduler's rolling
-        remaining-time estimate (optional)."""
+        far (compile/hit counters stream live), ``eta_seconds`` the
+        scheduler's rolling remaining-time estimate (optional)."""
         self.done, self.cached = done, cached
         now = self.clock()
         if now - self._last_emit < self.min_interval and done < self.total:
@@ -102,11 +81,10 @@ class ProgressReporter:
         self._last_emit = now
         line = format_progress(done, self.total, now - self.started,
                                cached=cached, kernels=kernels,
-                               lanes=lanes, eta_seconds=eta_seconds)
+                               eta_seconds=eta_seconds)
         print(line, file=self.stream, flush=True)
 
-    def finish(self, kernels=None, lanes=None, demotions=None,
-               faults=None):
+    def finish(self, kernels=None, faults=None):
         elapsed = self.clock() - self.started
         executed = self.done - self.cached
         kernel_text = ""
@@ -118,29 +96,12 @@ class ProgressReporter:
                 f"compiled, {hits} hits "
                 f"({kernels.get('disk_hits', 0)} from disk)"
             )
-        lane_text = ""
-        if lanes and (lanes.get("packed_batches")
-                      or lanes.get("demoted_batches")):
-            lane_text = (
-                f"; lane batches: {lanes.get('packed_batches', 0)} "
-                f"packed x{lanes.get('lanes', 0)}, "
-                f"{lanes.get('demoted_batches', 0)} scalar-demoted"
-            )
         print(
             f"[campaign] finished {self.done}/{self.total} units in "
             f"{_duration(elapsed)} ({executed} executed, "
-            f"{self.cached} from cache{kernel_text}{lane_text})",
+            f"{self.cached} from cache{kernel_text})",
             file=self.stream, flush=True,
         )
-        if demotions:
-            breakdown = ", ".join(
-                f"{category} x{count}"
-                for category, count in sorted(
-                    demotions.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            )
-            print(f"[campaign] lane demotions: {breakdown}",
-                  file=self.stream, flush=True)
         if faults and any(faults.values()):
             print("[campaign] fault tolerance: " + format_fault_stats(faults),
                   file=self.stream, flush=True)
@@ -159,12 +120,15 @@ class ProgressReporter:
 
 def format_fault_stats(faults):
     """Fault-tolerance summary fragment: retries, quarantines, pool
-    respawns and their causes (pure function for testability)."""
+    respawns, failed cache writes and their causes (pure function for
+    testability)."""
     parts = [
         f"{faults.get('retries', 0)} retried",
         f"{faults.get('quarantined', 0)} quarantined",
         f"{faults.get('pool_respawns', 0)} pool respawn(s)",
     ]
+    if faults.get("cache_write_errors"):
+        parts.append(f"{faults['cache_write_errors']} cache write error(s)")
     causes = []
     if faults.get("timeouts"):
         causes.append(f"{faults['timeouts']} timeout(s)")

@@ -19,9 +19,9 @@ run-to-completion by default.  Infrastructure failures — a worker
 killed mid-unit (``BrokenProcessPool``), a unit past its
 ``unit_timeout`` wall-clock budget, cache I/O errors — are retried
 with bounded deterministic backoff; after a pool breakage the pool is
-respawned, the surviving pending set is re-derived from the on-disk
-cache (re-splitting lane groups whose members partially landed), and
-suspect units re-run *solo* so crash blame is unambiguous.  A unit
+respawned, each suspect is re-checked against the on-disk cache (a
+sibling shard may have landed its record meanwhile), and the rest
+re-run *solo* so crash blame is unambiguous.  A unit
 that kills its worker twice, or an exception the unit itself raises
 (deterministic — retrying cannot change it), becomes a structured
 ``"poisoned"`` record and the campaign continues; ``fail_fast``
@@ -31,10 +31,10 @@ fault-free ``--jobs 1`` run.
 
 Observability: each executed unit ships one ``StatsDelta`` (a
 :meth:`repro.obs.metrics.MetricsRegistry.delta` dict) back with its
-record — kernel-cache movement, lane-batch outcomes, per-unit wall
-seconds — and the runner folds them into a per-campaign registry.  The
-historical ``kernel_stats`` / ``lane_stats`` dicts are read-only views
-over that registry; fault-tolerance movement lands under ``faults.*``
+record — kernel-cache movement and per-unit wall seconds — and the
+runner folds them into a per-campaign registry.  The historical
+``kernel_stats`` dict is a read-only view over that registry;
+fault-tolerance movement lands under ``faults.*``
 (:attr:`CampaignRunner.fault_stats`).  When telemetry is enabled
 (``repro.obs.sink``), workers additionally flush span shards per unit;
 none of this touches ``cache_key()`` or record bytes.
@@ -52,7 +52,7 @@ import time
 from repro.forensics import bundle as forensics
 from repro.obs import sink, trace
 from repro.obs.metrics import GLOBAL as _global_metrics
-from repro.obs.metrics import MetricsRegistry, classify_demotion
+from repro.obs.metrics import MetricsRegistry
 from repro.runner import faultinject, faults
 from repro.runner.cache import ResultCache
 from repro.runner.faults import CampaignInterrupted, UnitTimeout
@@ -63,10 +63,10 @@ from repro.runner.report import ProgressReporter
 _TICK = 0.25
 
 #: Scheduler-side deadline for one dispatched unit: the worker-side
-#: alarm gets ``unit_timeout`` (scaled by group size), and only if the
-#: worker cannot deliver even the *timeout* within this envelope (the
-#: alarm is masked, the interpreter is wedged in C) does the parent
-#: kill the pool to reclaim it.
+#: alarm gets ``unit_timeout``, and only if the worker cannot deliver
+#: even the *timeout* within this envelope (the alarm is masked, the
+#: interpreter is wedged in C) does the parent kill the pool to
+#: reclaim it.
 _DEADLINE_SLACK = 1.5
 _DEADLINE_GRACE = 2.0
 
@@ -137,80 +137,17 @@ def _execute_with_stats(executor, unit, timeout=None):
     return record, _global_metrics.delta(before)
 
 
-def _execute_group_with_stats(units, lanes, timeout=None):
-    """Run one design-fingerprint unit group (top-level: picklable).
-
-    Returns ``(records, lane_infos, delta)`` — the group's records in
-    unit order plus the lane-batch info dicts and the metrics movement
-    for the parent's campaign-wide registry.  ``timeout`` is the
-    *per-unit* wall-clock budget; the group's alarm gets the summed
-    budget since the members run as one lockstep dispatch.
-    """
-    from repro.experiments.runner import execute_unit_group
-
-    sink.maybe_init_worker()
-    forensics.maybe_init_worker()
-    for unit in units:
-        sink.mark_open("unit", _unit_label(unit))
-    before = _global_metrics.snapshot()
-    start = time.perf_counter()
-    group_timeout = timeout * len(units) if timeout else None
-    try:
-        with trace.span("unit-group", cat="scheduler", size=len(units),
-                        lanes=lanes):
-            with faults.unit_alarm(group_timeout, "group of %d"
-                                   % len(units)):
-                for unit in units:
-                    faultinject.check_unit(_unit_label(unit),
-                                           key=_unit_key(unit))
-                records, lane_infos = execute_unit_group(units, lanes)
-    except BaseException:
-        sink.flush_spans()
-        raise
-    elapsed = time.perf_counter() - start
-    if units:
-        # Attribute the group's wall time evenly so the rolling ETA
-        # sees effective per-unit throughput under lane packing.
-        per_unit = elapsed / len(units)
-        for _ in units:
-            _global_metrics.observe("unit.seconds", per_unit)
-    _global_metrics.inc("units.executed", len(units))
-    for info in lane_infos:
-        if info.get("packed"):
-            _global_metrics.inc("lanes.packed_batches")
-        else:
-            _global_metrics.inc("lanes.demoted_batches")
-            # Count every distinct underlying reason, not just the
-            # summary string: a design demoted for several causes at
-            # once lands in each matching category, so the finish
-            # summary and the report histogram tell the same story.
-            reasons = (info.get("demotion_reasons") or
-                       (info.get("demotion"),))
-            for category in sorted(
-                {classify_demotion(reason) for reason in reasons}
-            ):
-                _global_metrics.inc("lanes.demotion." + category)
-    sink.flush_spans()
-    # A failing unit inside a packed lane batch is demoted to a scalar
-    # traced re-run by the capture pipeline itself (the bundle's
-    # waveform never comes from packed state).
-    if forensics.enabled():
-        for unit, record in zip(units, records):
-            forensics.capture_unit_failure(unit, record)
-        sink.flush_spans()
-    return records, lane_infos, _global_metrics.delta(before)
-
-
 class _Task:
-    """One dispatchable set of grid positions plus its failure
-    history: ``strikes`` counts infrastructure failures, ``not_before``
-    is the deterministic-backoff earliest re-dispatch time."""
+    """One dispatchable grid position plus its failure history:
+    ``strikes`` counts the infrastructure failures blamed on it,
+    ``not_before`` is the deterministic-backoff earliest re-dispatch
+    time."""
 
-    __slots__ = ("positions", "strikes", "not_before")
+    __slots__ = ("position", "strikes", "not_before")
 
-    def __init__(self, positions, strikes=0):
-        self.positions = list(positions)
-        self.strikes = strikes
+    def __init__(self, position):
+        self.position = position
+        self.strikes = 0
         self.not_before = 0.0
 
 
@@ -239,16 +176,6 @@ class CampaignRunner:
     :func:`repro.fuzz.campaign.execute_fuzz_unit`).  Units only need a
     ``cache_key()`` method when a cache is attached.
 
-    ``lanes > 1`` turns on lane-packed dispatch: cache-missing
-    compiled-backend campaign units sharing a ``design_fingerprint``
-    are executed as one group whose initial verification runs advance
-    up to ``lanes`` stimulus seeds per packed simulation step
-    (:func:`repro.experiments.runner.execute_unit_group`).  Grouping
-    never changes a record — every unit still lands in the cache under
-    its own content key — so ``lanes=N`` and ``lanes=1`` campaigns are
-    bit-identical.  Only the default executor understands grouping;
-    custom executors always run unit-at-a-time.
-
     ``policy`` (a :class:`repro.runner.faults.FaultPolicy`) governs
     timeouts, retry/quarantine and fail-fast; ``poisoned_factory``
     builds the structured record a quarantined unit lands as
@@ -258,19 +185,18 @@ class CampaignRunner:
     """
 
     def __init__(self, jobs=1, cache=None, reporter=None, executor=None,
-                 lanes=1, policy=None, poisoned_factory=None):
+                 policy=None, poisoned_factory=None):
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.reporter = reporter
         self.executor = executor if executor is not None else execute_unit
-        self.lanes = max(1, int(lanes))
         self.policy = policy if policy is not None \
             else faults.get_default_policy()
         self.poisoned_factory = poisoned_factory
         #: Structured summaries of quarantined units from the last run.
         self.quarantined = []
         #: Per-campaign metrics: every executed unit's StatsDelta folds
-        #: in here (kernel cache, lane batches, unit wall seconds).
+        #: in here (kernel cache, unit wall seconds).
         self.metrics = MetricsRegistry()
 
     @property
@@ -284,35 +210,18 @@ class CampaignRunner:
         }
 
     @property
-    def lane_stats(self):
-        """Lane-batch movement: how many packed batches ran (at
-        ``lanes`` width) and how many fell back to per-lane scalar
-        simulation (demoted designs / non-aligned stimulus)."""
-        return {
-            "lanes": self.lanes,
-            "packed_batches": self.metrics.counter("lanes.packed_batches"),
-            "demoted_batches": self.metrics.counter("lanes.demoted_batches"),
-        }
-
-    @property
     def fault_stats(self):
         """Fault-tolerance movement: re-dispatches, quarantines, pool
-        respawns, and their causes (read-only metrics view)."""
+        respawns, failed cache writes, and their causes (read-only
+        metrics view)."""
         return {
             "retries": self.metrics.counter("faults.retries"),
             "quarantined": self.metrics.counter("faults.quarantined"),
             "pool_respawns": self.metrics.counter("faults.pool_respawns"),
             "timeouts": self.metrics.counter("faults.timeouts"),
             "worker_deaths": self.metrics.counter("faults.worker_deaths"),
-        }
-
-    def demotion_histogram(self):
-        """Structured lane-demotion reasons: ``{category: count}``."""
-        prefix = "lanes.demotion."
-        return {
-            name[len(prefix):]: value
-            for name, value in sorted(self.metrics.counters.items())
-            if name.startswith(prefix) and value
+            "cache_write_errors": self.metrics.counter(
+                "faults.cache_write_errors"),
         }
 
     def _absorb(self, delta, from_worker):
@@ -365,7 +274,6 @@ class CampaignRunner:
             if self.reporter is not None:
                 self.reporter.update(done, cached=cached,
                                      kernels=self.kernel_stats,
-                                     lanes=self.lane_stats,
                                      eta_seconds=self._rolling_eta(
                                          total - done))
             if progress is not None:
@@ -394,11 +302,10 @@ class CampaignRunner:
             self._store(units[position], record)
             advance(False)
 
-        pending = [
-            position for position in range(total)
+        tasks = [
+            _Task(position) for position in range(total)
             if resolve_cached(position) is None
         ]
-        tasks = self._plan_tasks(units, pending)
 
         restore_sigterm = self._install_sigterm()
         try:
@@ -425,8 +332,6 @@ class CampaignRunner:
 
         if self.reporter is not None:
             self.reporter.finish(kernels=self.kernel_stats,
-                                 lanes=self.lane_stats,
-                                 demotions=self.demotion_histogram(),
                                  faults=self.fault_stats)
         return results
 
@@ -444,15 +349,16 @@ class CampaignRunner:
 
     def _run_serial(self, units, tasks, land, resolve_cached):
         policy = self.policy
-        queue = collections.deque(_Task(positions) for positions in tasks)
+        queue = collections.deque(tasks)
         while queue:
             task = queue.popleft()
             delay = task.not_before - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             try:
-                records = self._execute_task(units, task.positions,
-                                             timeout=policy.unit_timeout)
+                record, delta = _execute_with_stats(
+                    self.executor, units[task.position],
+                    policy.unit_timeout)
             except (KeyboardInterrupt, CampaignInterrupted):
                 raise
             except UnitTimeout as exc:
@@ -465,11 +371,11 @@ class CampaignRunner:
             except Exception as exc:
                 if policy.fail_fast:
                     raise
-                self._after_deterministic_failure(
-                    task, exc, units, land, requeue=queue.extendleft)
+                self._quarantine(units, task.position, "exception", exc,
+                                 task.strikes, land)
             else:
-                for position, record in zip(task.positions, records):
-                    land(position, record)
+                self._absorb(delta, from_worker=False)
+                land(task.position, record)
 
     # -- parallel path ---------------------------------------------------
 
@@ -489,18 +395,17 @@ class CampaignRunner:
             except Exception:
                 pass
 
-    def _deadline(self, task):
+    def _deadline(self):
         """Scheduler-side reclaim deadline for one dispatch, or None
         when timeouts are off."""
         timeout = self.policy.unit_timeout
         if not timeout:
             return None
-        budget = timeout * max(1, len(task.positions))
-        return time.monotonic() + budget * _DEADLINE_SLACK + _DEADLINE_GRACE
+        return time.monotonic() + timeout * _DEADLINE_SLACK + _DEADLINE_GRACE
 
     def _run_pool(self, units, tasks, land, resolve_cached):
         policy = self.policy
-        queue = collections.deque(_Task(positions) for positions in tasks)
+        queue = collections.deque(tasks)
         probation = collections.deque()
         workers = min(self.jobs, max(1, len(tasks)))
         pool = self._spawn_pool(workers)
@@ -511,19 +416,19 @@ class CampaignRunner:
         interrupted = False
 
         def submit(task, solo):
-            if len(task.positions) == 1:
+            try:
                 future = pool.submit(
                     _execute_with_stats, self.executor,
-                    units[task.positions[0]], policy.unit_timeout,
+                    units[task.position], policy.unit_timeout,
                 )
-            else:
-                future = pool.submit(
-                    _execute_group_with_stats,
-                    [units[position] for position in task.positions],
-                    self.lanes, policy.unit_timeout,
-                )
+            except _POOL_BROKEN as exc:
+                # A worker died since the last wait: this task never
+                # ran, so it joins that crash's suspects unblamed.
+                future = concurrent.futures.Future()
+                future.set_exception(exc)
+                solo = False
             in_flight[future] = (task, solo)
-            deadline = self._deadline(task)
+            deadline = self._deadline()
             if deadline is not None:
                 deadlines[future] = deadline
 
@@ -597,29 +502,23 @@ class CampaignRunner:
                                               cancel_futures=True)
                             continue
                         if first_error is None:
-                            self._after_deterministic_failure(
-                                task, exc, units, land,
-                                requeue=queue.extendleft)
+                            self._quarantine(units, task.position,
+                                             "exception", exc,
+                                             task.strikes, land)
                         continue
                     if task in killed:
                         # Raced its own reclaim and won: the result is
                         # valid, and the kill must not be blamed on it.
                         killed.remove(task)
-                    if len(task.positions) == 1:
-                        record, delta = payload
-                        records = [record]
-                    else:
-                        records, _lane_infos, delta = payload
+                    record, delta = payload
                     self._absorb(delta, from_worker=True)
-                    for position, record in zip(task.positions, records):
-                        land(position, record)
+                    land(task.position, record)
 
                 if broken_exc is not None:
                     # The pool is gone: every in-flight future fails.
                     # Fold the stragglers in as suspects too, respawn,
-                    # and re-derive each suspect's survivors from the
-                    # cache (a sibling may have landed records before
-                    # the crash).
+                    # and re-check each suspect against the cache (a
+                    # sibling shard may have landed its record).
                     for future, (task, solo) in list(in_flight.items()):
                         broken_suspects.append((task, solo))
                     in_flight.clear()
@@ -635,10 +534,8 @@ class CampaignRunner:
                             if deadline_kill and task not in killed:
                                 # Collateral of a reclaim we initiated:
                                 # the cause is known, no strike.
-                                remaining = self._still_pending(
-                                    task, resolve_cached)
-                                if remaining:
-                                    task.positions = remaining
+                                if self._still_pending(task,
+                                                       resolve_cached):
                                     self._bump("faults.retries")
                                     queue.appendleft(task)
                                 continue
@@ -686,13 +583,10 @@ class CampaignRunner:
     # -- failure handling (shared by both paths) -------------------------
 
     def _still_pending(self, task, resolve_cached):
-        """Re-derive a task's surviving pending positions from the
-        cache: members whose records landed before a crash (their own
-        dispatch, or a sibling shard) resolve as hits, and only the
-        rest are re-run — this is the lane-group partial-landing
-        re-split."""
-        return [position for position in task.positions
-                if resolve_cached(position) is None]
+        """Whether a task still needs to run: its record may have
+        landed in the cache before a crash (a sibling shard sharing
+        the cache directory), in which case it resolves as a hit."""
+        return resolve_cached(task.position) is None
 
     def _after_infra_failure(self, task, kind, exc, units, land,
                              resolve_cached, requeue, precise=True):
@@ -700,56 +594,30 @@ class CampaignRunner:
         retry with deterministic backoff, or quarantine.
 
         ``precise`` says blame is unambiguous (a timeout reported by
-        the task's own future, or a crash while running solo);
-        quarantine requires ``max_strikes`` precise failures so a unit
-        is never poisoned for a sibling's crash.
+        the task's own future, or a crash while running solo).  Only
+        precise failures are strikes, so a unit is never poisoned for
+        a sibling's crash; an imprecise suspect just re-runs solo,
+        where its next failure is precise.
         """
         policy = self.policy
-        task.strikes += 1
-        if precise and task.strikes >= policy.max_strikes:
-            if len(task.positions) == 1:
-                self._quarantine(units, task.positions[0], kind, exc,
+        if precise:
+            task.strikes += 1
+            if task.strikes >= policy.max_strikes:
+                self._quarantine(units, task.position, kind, exc,
                                  task.strikes, land)
                 return
-            # Whole-group blame is ambiguous: split into solo singles,
-            # each one precise failure away from quarantine, so only
-            # the actual poison member is condemned.
-            self._bump("faults.group_resplits")
-            for position in self._still_pending(task, resolve_cached):
-                single = _Task([position], strikes=policy.max_strikes - 1)
-                single.not_before = time.monotonic() + \
-                    faults.backoff_seconds(policy, single.strikes)
-                self._bump("faults.retries")
-                requeue(single)
+        if not self._still_pending(task, resolve_cached):
             return
-        remaining = self._still_pending(task, resolve_cached)
-        if not remaining:
-            return
-        task.positions = remaining
         task.not_before = time.monotonic() + \
             faults.backoff_seconds(policy, task.strikes)
         self._bump("faults.retries")
         requeue(task)
 
-    def _after_deterministic_failure(self, task, exc, units, land,
-                                     requeue):
-        """A unit raised: re-running a pure function of the unit's
-        fields would raise identically, so never retry — quarantine
-        the unit (``fail_fast`` is handled by the callers).  A group
-        failure does not say *which* member raised, so the group is
-        re-split into singletons first; the faulty one then fails
-        alone."""
-        if len(task.positions) == 1:
-            self._quarantine(units, task.positions[0], "exception", exc,
-                             task.strikes, land)
-            return
-        self._bump("faults.group_resplits")
-        requeue([_Task([position]) for position in
-                 reversed(task.positions)])
-
     def _quarantine(self, units, position, kind, exc, strikes, land):
         """Land a structured poisoned record for one unit and let the
-        campaign continue."""
+        campaign continue.  A unit that raised goes straight here:
+        re-running a pure function of its fields would raise
+        identically, so exceptions are never retried."""
         unit = units[position]
         failure = faults.failure_detail(kind, exc, label=_unit_label(unit),
                                         strikes=strikes)
@@ -774,52 +642,7 @@ class CampaignRunner:
         return {"ok": False, "poisoned": True,
                 "unit": _unit_label(unit), "failure": failure}
 
-    # -- planning / storage ----------------------------------------------
-
-    def _plan_tasks(self, units, pending):
-        """Partition pending positions into dispatch tasks.
-
-        Each task is a list of grid positions executed together: lane
-        grouping collects compiled-backend campaign units by design
-        fingerprint; everything else stays a singleton.  Order is
-        first-seen grid order, so ``jobs=1`` execution remains
-        deterministic.
-        """
-        if self.lanes <= 1 or self.executor is not execute_unit:
-            return [[position] for position in pending]
-        tasks = []
-        groups = {}
-        for position in pending:
-            unit = units[position]
-            fingerprint = (
-                getattr(unit, "design_fingerprint", None)
-                if getattr(unit, "backend", None) == "compiled" else None
-            )
-            if fingerprint is None:
-                tasks.append([position])
-                continue
-            group = groups.get(fingerprint)
-            if group is None:
-                group = groups[fingerprint] = []
-                tasks.append(group)
-            group.append(position)
-        return tasks
-
-    def _execute_task(self, units, positions, timeout=None):
-        """Serial-path execution of one task; returns records in
-        ``positions`` order."""
-        if len(positions) == 1:
-            record, delta = _execute_with_stats(
-                self.executor, units[positions[0]], timeout
-            )
-            self._absorb(delta, from_worker=False)
-            return [record]
-        records, _lane_infos, delta = _execute_group_with_stats(
-            [units[position] for position in positions], self.lanes,
-            timeout,
-        )
-        self._absorb(delta, from_worker=False)
-        return records
+    # -- storage ---------------------------------------------------------
 
     def _store(self, unit, record):
         if self.cache is None:
@@ -863,7 +686,7 @@ def _restamp(record, instance):
 
 def run_units(units, jobs=1, cache_dir=None, progress=None,
               show_progress=False, reporter=None, cache=None,
-              executor=None, lanes=1, telemetry=False,
+              executor=None, telemetry=False,
               forensics_capture=False, unit_timeout=None,
               fail_fast=False, policy=None, poisoned_factory=None):
     """Convenience front door used by the experiment drivers.
@@ -873,9 +696,7 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     :class:`ResultCache` with a custom codec) wins over ``cache_dir``.
     ``show_progress`` attaches a stderr :class:`ProgressReporter`
     (explicit ``reporter`` wins); ``executor`` overrides the campaign
-    unit-execution primitive; ``lanes > 1`` enables lane-packed
-    dispatch of same-design compiled units (records stay
-    bit-identical to a ``lanes=1`` run).  ``telemetry`` writes span
+    unit-execution primitive.  ``telemetry`` writes span
     and metrics shards under ``<cache-dir>/telemetry/`` (requires
     ``cache_dir``; records are unaffected — timing is sidecar-only).
     ``forensics_capture`` archives every failing unit as a debug
@@ -922,31 +743,16 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     if reporter is None and show_progress and units:
         reporter = ProgressReporter(len(units))
     runner = CampaignRunner(jobs=jobs, cache=cache, reporter=reporter,
-                            executor=executor, lanes=lanes, policy=policy,
+                            executor=executor, policy=policy,
                             poisoned_factory=poisoned_factory)
     with kernel_cache.disk_cache(kernel_dir):
         with sink.telemetry_scope(telemetry_dir):
             with forensics.scope(forensics_dir):
                 with trace.span("campaign", cat="scheduler",
-                                units=len(units), jobs=runner.jobs,
-                                lanes=runner.lanes):
+                                units=len(units), jobs=runner.jobs):
                     return runner.run(units, progress=progress)
 
 
 def default_jobs():
     """A sensible ``--jobs auto`` value: physical parallelism, capped."""
     return min(8, os.cpu_count() or 1)
-
-
-def default_lanes(require=False):
-    """The ``--lanes auto`` / flag-omitted lane count.
-
-    Lane packing stays opt-in (it only pays off on compiled-backend
-    campaigns with repeated designs), so with the flag omitted an
-    unset ``REPRO_SIM_LANES`` means 1; explicit ``--lanes auto``
-    passes ``require=True`` and a missing or malformed variable
-    raises :class:`ValueError` instead of silently serializing the
-    campaign."""
-    from repro.sim.compile.lanes import default_lanes as _env_lanes
-
-    return _env_lanes(require=require)

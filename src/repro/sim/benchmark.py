@@ -86,109 +86,6 @@ def drive(bench, backend, vectors, trace=False, phase_totals=None):
     return time.perf_counter() - started, cycles
 
 
-def drive_lanes(bench, vector_streams, trace=False, force_packed=False):
-    """One timed N-lane run: lane ``i`` follows ``vector_streams[i]``.
-
-    The streams must agree row-by-row on hold cycles and reset meta
-    (HR sequences are shape-aligned across seeds — only field values
-    differ); a shorter stream simply stops its lane early.  Per-lane
-    semantics match :func:`drive` exactly, but stimulus goes through
-    the batch's fused per-port ``packed_poker`` closures: one plane
-    commit drives all N lanes.
-
-    Returns ``(elapsed_seconds, cycles_per_lane, batch)``.
-    """
-    from repro.sim.compile.lanes import make_lane_batch
-
-    protocol = bench.protocol
-    lanes = len(vector_streams)
-    length = max(len(stream) for stream in vector_streams)
-    for stream in vector_streams[1:]:
-        for (_, h0, m0), (_, h1, m1) in zip(vector_streams[0], stream):
-            if h0 != h1 or m0 != m1:
-                raise ValueError(
-                    "drive_lanes needs shape-aligned streams "
-                    "(hold cycles and meta must match per row)")
-    batch = make_lane_batch(bench.source, lanes, trace=trace,
-                            top=bench.top, force_packed=force_packed)
-    pokers = {}
-
-    def pk(name):
-        fn = pokers.get(name)
-        if fn is None:
-            fn = pokers[name] = batch.packed_poker(name)
-        return fn
-
-    # Build the whole per-row poke plan off the clock (the same
-    # methodology as ``drive``: stimulus generation is untimed, only
-    # poke/settle/tick run inside the measured region).
-    cycles = [0] * lanes
-    plan = []
-    for row in range(length):
-        rows = [stream[row] if row < len(stream) else None
-                for stream in vector_streams]
-        stops = [lane for lane, entry in enumerate(rows)
-                 if entry is None and row == len(vector_streams[lane])]
-        shape = next(entry for entry in rows if entry is not None)
-        _, hold_cycles, meta = shape
-        pokes = []
-        glitch = None
-        if protocol.reset is not None:
-            asserted = bool(meta.get("reset") or meta.get("reset_glitch"))
-            level = (protocol.reset_assert_value() if asserted
-                     else protocol.reset_release_value())
-            pokes.append((pk(protocol.reset),
-                          [level if entry is not None else None
-                           for entry in rows]))
-            if meta.get("reset_glitch"):
-                glitch = (pk(protocol.reset),
-                          [protocol.reset_release_value()
-                           if entry is not None else None
-                           for entry in rows])
-        names = set()
-        for entry in rows:
-            if entry is not None:
-                names.update(entry[0])
-        for name in sorted(names):
-            pokes.append((pk(name),
-                          [entry[0].get(name) if entry is not None
-                           else None for entry in rows]))
-        for lane, entry in enumerate(rows):
-            if entry is not None:
-                cycles[lane] += hold_cycles if protocol.is_clocked else 1
-        plan.append((stops, pokes, hold_cycles, glitch))
-
-    clock = protocol.clock
-    clocked = protocol.is_clocked
-    started = time.perf_counter()
-    if protocol.reset is not None:
-        for name, value in protocol.default_inputs.items():
-            pk(name)([value] * lanes)
-        if clocked:
-            pk(clock)([0] * lanes)
-        pk(protocol.reset)([protocol.reset_assert_value()] * lanes)
-        batch.settle()
-        if clocked:
-            batch.tick(clock, cycles=2)
-        pk(protocol.reset)([protocol.reset_release_value()] * lanes)
-        batch.settle()
-    for stops, pokes, hold_cycles, glitch in plan:
-        for lane in stops:
-            batch.stop_lane(lane)
-        for poke_all, values in pokes:
-            poke_all(values)
-        batch.settle()
-        if clocked:
-            batch.tick(clock, cycles=hold_cycles)
-        else:
-            batch.step_time(10)
-        if glitch is not None:
-            poke_all, values = glitch
-            poke_all(values)
-            batch.settle()
-    return time.perf_counter() - started, cycles, batch
-
-
 def profile_bench(bench, backend="compiled", trace=False, repeat=3,
                   top_n=25, sort="cumulative", stream=None, spans=False):
     """Run the bench workload under ``cProfile``; print top hotspots.

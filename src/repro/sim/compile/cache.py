@@ -63,8 +63,7 @@ _disk_dir = None
 #: process-global metrics registry (``repro.obs``) as ``kernel.<name>``
 #: so telemetry shards and the campaign progress stream read the same
 #: numbers; this module keeps its historical short-key dict API.
-_STAT_KEYS = ("compiled", "memo_hits", "disk_hits",
-              "lane_compiled", "lane_memo_hits")
+_STAT_KEYS = ("compiled", "memo_hits", "disk_hits")
 
 
 def _bump(key):
@@ -216,57 +215,3 @@ def get_kernel(design, order, trace=True, coverage=None):
         _memo[key] = entry
     return entry
 
-
-# -- lane-program memo -------------------------------------------------------
-
-#: Bump whenever the lane packer's lowering changes semantics; folded
-#: into the memo key so stale programs can never be rebound.
-LANE_CODEGEN_VERSION = 4
-
-#: key -> _LaneProgram | NotPackable reason string.  Lane programs are
-#: closure graphs, so (unlike scalar kernels) they cannot persist to
-#: the on-disk source store; the per-process memo is the only layer.
-_lane_memo = {}
-
-
-def get_lane_program(design, lanes):
-    """The N-lane packed program for ``design``, or ``None`` when the
-    design is not packable (callers fall back to per-lane scalar
-    simulators).  Memoized per process by elaboration fingerprint."""
-    from repro.sim.compile.lanes import NotPackable, compile_lane_program
-
-    fingerprint = getattr(design, "_kernel_fingerprint", None)
-    if fingerprint is None:
-        fingerprint = design_fingerprint(design)
-        design._kernel_fingerprint = fingerprint
-    key = (fingerprint, lanes, LANE_CODEGEN_VERSION)
-    entry = _lane_memo.get(key)
-    if entry is not None:
-        _bump("lane_memo_hits")
-        return entry if not isinstance(entry, str) else None
-    try:
-        with _tracer.span("compile", cat="lane-kernel", lanes=lanes):
-            program = compile_lane_program(design, lanes)
-    except NotPackable as exc:
-        _lane_memo[key] = str(exc) or "not packable"
-        return None
-    _bump("lane_compiled")
-    while len(_lane_memo) >= MEMO_LIMIT:
-        _lane_memo.pop(next(iter(_lane_memo)))
-    _lane_memo[key] = program
-    return program
-
-
-def lane_demotion_reason(design, lanes):
-    """Why ``design`` fell back to scalar lanes (``None`` if packed or
-    never attempted)."""
-    fingerprint = getattr(design, "_kernel_fingerprint", None)
-    if fingerprint is None:
-        return None
-    entry = _lane_memo.get((fingerprint, lanes, LANE_CODEGEN_VERSION))
-    return entry if isinstance(entry, str) else None
-
-
-def clear_lane_memo():
-    """Drop the in-process lane-program memo (tests use this)."""
-    _lane_memo.clear()

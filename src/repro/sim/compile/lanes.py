@@ -1,3243 +1,10 @@
-"""Lane-packed (SWAR) multi-seed simulation.
+"""Compatibility stub: no part of the program imports this module.
 
-The campaign grid re-simulates the *same* DUT under many attempt seeds,
-so after the fused kernel (PR 5) the dominant remaining cost is
-per-delta Python overhead multiplied by the seed count.  This module
-amortizes that overhead across seeds: each signal's ``bits``/``xmask``
-planes hold N independent *lanes* side by side inside one wide Python
-int, so a single ``settle()``/``tick()`` pass advances N simulations at
-once.  Bitwise operators vectorize for free; arithmetic, compares and
-shifts get per-lane masked lowerings (guard-bit SWAR); anything the
-packer cannot prove lane-isolated demotes — per process to the
-interpreter shim when the scalar kernel also demoted it, or the whole
-design to :class:`ScalarLaneBatch` when the scalar kernel *did* compile
-it (so lane mode never silently regresses below scalar-compiled speed
-or diverges from its event accounting).
-
-Parity contract: for every lane, values, per-signal traces, ``time``
-and ``event_count`` are bit-identical to a scalar *compiled* backend
-run of that lane's stimulus.  The campaign layer relies on this to
-split lane-batch results back into per-unit cache records, ``xcheck``
-enforces it in lockstep, and the fuzz oracle's fifth check hardens it
-on random designs.
-
-Layout: lane *i* of a ``w``-bit signal occupies bits
-``[i*S, i*S + w)`` of the plane, where the stride ``S`` leaves at least
-two guard bits above the widest signal (carry/borrow containment for
-the add/sub/compare lowerings and the ``nz`` lane-collapse trick).
+The per-layer tracer in ``perfbench/layers.py`` still patches
+``elaborate`` and ``get_kernel`` on this module by name, so the two
+bindings stay importable here until the benchmark drops them; then
+this file goes too.
 """
 
-from repro.hdl import ast
-from repro.sim.compile.cache import get_kernel
-from repro.sim.compile.levelize import levelize, sensitivity_complete
-from repro.sim.elaborate import elaborate
-from repro.sim.engine import (
-    _MAX_DELTAS,
-    SimulationError,
-    Simulator,
-    _Executor,
-)
-from repro.sim.eval import Memory
-from repro.sim.values import Value
-
-
-class NotPackable(Exception):
-    """The design (or one scalar-kernel-compiled process) cannot be
-    lowered to lane-packed form; callers fall back to
-    :class:`ScalarLaneBatch`."""
-
-
-class _StrideRetry(Exception):
-    """Internal: a packed intermediate needs more bits than the current
-    stride provides; recompile with at least ``needed``."""
-
-    def __init__(self, needed):
-        super().__init__(needed)
-        self.needed = needed
-
-
-_NONPACKABLE_FUNCTIONS = frozenset(["$time", "$stime", "$random"])
-
-#: Unrolled-for iteration ceiling: past this the closure soup costs
-#: more than per-lane scalar fallback, so the process demotes instead.
-_MAX_UNROLL = 64
-
-
-def _uses_nonpackable_functions(process):
-    for stmt in process.body:
-        for node in stmt.walk():
-            if isinstance(node, ast.FunctionCall) and \
-                    node.name in _NONPACKABLE_FUNCTIONS:
-                return True
-    return False
-
-
-class _Layout:
-    """Lane geometry: stride, lane-base mask and replication masks."""
-
-    __slots__ = ("lanes", "S", "L1", "_mr")
-
-    def __init__(self, lanes, stride):
-        self.lanes = lanes
-        self.S = stride
-        base = 0
-        for i in range(lanes):
-            base |= 1 << (i * stride)
-        self.L1 = base
-        self._mr = {}
-
-    def Mr(self, width):
-        """Replicated field mask: ``(2**width - 1)`` in every lane."""
-        mask = self._mr.get(width)
-        if mask is None:
-            mask = self._mr[width] = self.L1 * ((1 << width) - 1)
-        return mask
-
-    def need(self, bits):
-        """Assert a packed intermediate of ``bits`` bits fits a lane."""
-        if bits > self.S:
-            raise _StrideRetry(bits)
-
-    def replicate(self, value, width):
-        """``value`` (< 2**width) broadcast into every lane."""
-        self.need(width)
-        return value * self.L1
-
-
-class _SigMeta:
-    """Per-signal compile-time facts shared by every closure."""
-
-    __slots__ = (
-        "idx", "name", "width", "fm", "pm", "signed", "traced",
-        "comb_dirty", "edges",
-    )
-
-    def __init__(self, idx, name, width, signed, traced):
-        self.idx = idx
-        self.name = name
-        self.width = width
-        self.fm = (1 << width) - 1
-        self.pm = 0            # plane mask: fm replicated (set by builder)
-        self.signed = signed
-        self.traced = traced
-        self.comb_dirty = ()   # sorted tuple of comb order positions
-        self.edges = ()        # tuple of (edge, seq process index)
-
-
-class _MemMeta:
-    """Per-memory compile-time facts shared by every closure.
-
-    A memory packs as per-word planes: word ``w`` of memory ``idx``
-    lives in ``sim.MB[idx][w]``/``sim.MX[idx][w]`` with the same lane
-    stride as signals, plus a per-word lane mask ``sim.MSg[idx][w]``
-    recording which lanes' stored word is dynamically signed (words
-    keep the signedness last written, exactly like the engines)."""
-
-    __slots__ = ("idx", "name", "width", "lo", "hi", "depth", "fm",
-                 "comb_dirty")
-
-    def __init__(self, idx, name, width, lo, hi):
-        self.idx = idx
-        self.name = name
-        self.width = width
-        self.lo = lo
-        self.hi = hi
-        self.depth = hi - lo + 1
-        self.fm = (1 << width) - 1
-        self.comb_dirty = ()   # sorted tuple of comb order positions
-
-
-def _env_get(sim, env, idx):
-    entry = env.get(idx)
-    if entry is None:
-        entry = env[idx] = (sim.B[idx], sim.X[idx])
-    return entry
-
-
-class _ProcCompiler:
-    """Lowers one process body to lane-packed closures.
-
-    Expressions compile to ``fn(sim, env) -> (bits, xmask)`` over whole
-    planes; statements to ``fn(sim, env, mask)`` where ``mask`` is a
-    lane-base mask selecting the lanes executing the statement.  Width
-    handling mirrors :class:`repro.sim.eval.Evaluator` exactly — same
-    context-width propagation, same x pessimism — so packed lanes stay
-    bit-identical to the scalar backends.
-    """
-
-    def __init__(self, program, process):
-        self.program = program
-        self.layout = program.layout
-        self.process = process
-        self.scope = process.scope
-        #: name -> committed bits of a for-loop variable while its
-        #: unrolled body compiles; reads fold to constants.
-        self._loop_bind = {}
-
-    # -- helpers -------------------------------------------------------------
-
-    def fail(self, why):
-        raise NotPackable(why)
-
-    def _signal(self, name):
-        entry = self.scope.lookup(name)
-        if entry is None:
-            self.fail(f"undeclared identifier '{name}'")
-        return entry
-
-    def _target_signal(self, name):
-        """Assignment-target resolution: hierarchical connection
-        processes carry split read/write scopes, so targets must go
-        through ``lookup_target`` (exactly like the executor and the
-        kernel) — ``lookup`` would alias the outer signal."""
-        lookup = getattr(self.scope, "lookup_target", None)
-        entry = lookup(name) if lookup else self.scope.lookup(name)
-        if entry is None:
-            self.fail(f"undeclared target '{name}'")
-        return entry
-
-    def _const_int(self, expr):
-        """Compile-time integer, restricted to literals, parameters,
-        and bound for-loop variables (unlike ``Evaluator.const_int``,
-        never reads live signals)."""
-        if isinstance(expr, ast.Number):
-            if expr.xmask:
-                self.fail("x bits in a structural constant")
-            return expr.value
-        if isinstance(expr, ast.Identifier):
-            bound = self._loop_bind.get(expr.name)
-            if bound is not None:
-                return bound
-            entry = self._signal(expr.name)
-            if isinstance(entry, Value):
-                if entry.xmask:
-                    self.fail("x bits in a parameter constant")
-                return entry.bits
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            return -self._const_int(expr.operand)
-        if isinstance(expr, ast.Binary) and expr.op in ("+", "-", "*"):
-            # Index arithmetic (``15 - i`` and friends).  The engines
-            # evaluate these as a Value at the expression's full
-            # self-determined width, so fold unwrapped and reduce once
-            # at the top — exact as long as one operand is statically
-            # unsigned (the result Value is then unsigned, and its
-            # bits ARE its interpretation); an all-signed fold could
-            # read negative where the raw bits would not, so demote.
-            if not (self._const_unsigned(expr.left)
-                    or self._const_unsigned(expr.right)):
-                self.fail("signed structural arithmetic")
-            left = self._const_fold_raw(expr.left)
-            right = self._const_fold_raw(expr.right)
-            out = (left + right if expr.op == "+" else
-                   left - right if expr.op == "-" else left * right)
-            W = max(self.self_width(expr.left),
-                    self.self_width(expr.right))
-            return out & ((1 << W) - 1)
-        self.fail("non-constant structural operand")
-
-    def _const_fold_raw(self, expr):
-        """``_const_int`` without the top-level width reduction —
-        nested arithmetic must wrap once, at the outermost width."""
-        if isinstance(expr, ast.Binary) and expr.op in ("+", "-", "*"):
-            if not (self._const_unsigned(expr.left)
-                    or self._const_unsigned(expr.right)):
-                self.fail("signed structural arithmetic")
-            left = self._const_fold_raw(expr.left)
-            right = self._const_fold_raw(expr.right)
-            return (left + right if expr.op == "+" else
-                    left - right if expr.op == "-" else left * right)
-        return self._const_int(expr)
-
-    def _const_unsigned(self, expr):
-        """Statically *unsigned* constant operand (mirrors the flag of
-        the Value the evaluator would build for it)."""
-        if isinstance(expr, ast.Number):
-            return not expr.signed
-        if isinstance(expr, ast.Identifier):
-            entry = self.scope.lookup(expr.name)
-            return not getattr(entry, "signed", False)
-        if isinstance(expr, ast.Unary):
-            return True        # ~, -, ! and reductions build unsigned
-        if isinstance(expr, ast.Binary):
-            if expr.op in ("+", "-", "*", "/", "%"):
-                return (self._const_unsigned(expr.left)
-                        or self._const_unsigned(expr.right))
-            return True        # compares, shifts, bitwise: unsigned
-        return False
-
-    # -- dynamic signedness --------------------------------------------------
-
-    def _signed_lanes(self, expr):
-        """Per-lane dynamic signedness of ``expr``'s run-time value.
-
-        Returns an int lane-base mask when statically known, else a
-        closure ``fn(sim, env) -> mask``.  Mirrors the ``signed`` flag
-        the interpreter's ``Value`` results carry: a declared-signed
-        signal reads *unsigned* until its first changed write (the
-        engines store an unsigned ``Value.all_x`` at init), memory
-        words keep the signedness last written, and the ternary
-        x-merge constructs an unsigned result even over two signed
-        branches — all per-lane run-time facts, hence the closures.
-        """
-        L1 = self.layout.L1
-        if isinstance(expr, ast.Number):
-            return L1 if expr.signed else 0
-        if isinstance(expr, ast.Identifier):
-            entry = self._signal(expr.name)
-            if isinstance(entry, Value):
-                return L1 if entry.signed else 0
-            if isinstance(entry, Memory) or not getattr(
-                    entry, "signed", False):
-                return 0
-            if expr.name in self._loop_bind:
-                # Unrolled loop variable: the init write always left it
-                # changed-written (all-x at construction never equals
-                # the definite init constant), so a declared-signed
-                # variable reads signed in every lane.
-                return L1
-            meta = self.program.meta_by_name.get(entry.name)
-            if meta is None:
-                return 0
-
-            def written(sim, env, _idx=meta.idx):
-                return sim._signed_written[_idx]
-            return written
-        if isinstance(expr, ast.Unary):
-            if expr.op == "+":
-                return self._signed_lanes(expr.operand)
-            return 0       # ~, -, !, reductions build unsigned Values
-        if isinstance(expr, ast.Binary):
-            if expr.op in ("+", "-", "*", "/", "%"):
-                both = self._sm_and(self._signed_lanes(expr.left),
-                                    self._signed_lanes(expr.right))
-                if both == 0:
-                    return 0
-                # ``Value._pessimistic`` constructs an *unsigned*
-                # all-x on any x operand — and div/mod do the same on
-                # a zero divisor — so those lanes drop out of the
-                # mask even when both operands are signed.
-                return self._sm_and(both, self._arith_definite(expr))
-            if expr.op == ">>>":
-                # shr propagates the left operand's signedness — but
-                # an x shift amount yields an unsigned all-x (an x in
-                # the shifted value itself keeps the flag).
-                left = self._signed_lanes(expr.left)
-                if left == 0:
-                    return 0
-                return self._sm_and(left,
-                                    self._defined_lanes(expr.right))
-            return 0       # bitwise, logical, compares, shl, power
-        if isinstance(expr, ast.Ternary):
-            tm = self._signed_lanes(expr.then)
-            em = self._signed_lanes(expr.otherwise)
-            if tm == 0 and em == 0:
-                return 0
-            cfn, cW, _ = self.compile_expr(expr.cond, 0)
-            truth = self._truth(cfn, cW)
-
-            def pick(sim, env, _truth=truth, _tm=tm, _em=em):
-                t, f, u = _truth(sim, env)
-                a = _tm(sim, env) if callable(_tm) else _tm
-                b = _em(sim, env) if callable(_em) else _em
-                return (t & a) | (f & b)   # x-cond merge is unsigned
-            return pick
-        if isinstance(expr, ast.FunctionCall):
-            return L1 if expr.name == "$signed" else 0
-        if isinstance(expr, ast.Repeat):
-            # ``{1{v}}`` degenerates to ``v`` in the engines (the
-            # single unit IS the result Value, signed flag and all);
-            # a count >= 2 replication concatenates, which constructs
-            # an unsigned Value.
-            try:
-                count = self._const_int(expr.count)
-            except NotPackable:
-                return 0
-            return self._signed_lanes(expr.value) if count == 1 else 0
-        if isinstance(expr, ast.Concat):
-            # Same degenerate case: a one-part concat is a resize of
-            # the part, which keeps its signed flag.
-            if len(expr.parts) == 1:
-                return self._signed_lanes(expr.parts[0])
-            return 0
-        if isinstance(expr, ast.Index) and \
-                isinstance(expr.base, ast.Identifier):
-            entry = self.scope.lookup(expr.base.name)
-            if isinstance(entry, Memory):
-                return self._mem_signed_lanes(expr, entry)
-        return 0
-
-    def _sm_and(self, a, b):
-        """AND of two signedness lane masks (ints or closures)."""
-        if a == 0 or b == 0:
-            return 0
-        if not callable(a) and not callable(b):
-            return a & b
-
-        def both(sim, env, _a=a, _b=b):
-            ma = _a(sim, env) if callable(_a) else _a
-            mb = _b(sim, env) if callable(_b) else _b
-            return ma & mb
-        return both
-
-    def _defined_lanes(self, expr):
-        """Lane mask of ``expr``'s x-free lanes (int or closure)."""
-        lay = self.layout
-        L1 = lay.L1
-        W = self.self_width(expr)
-        fn, _, const = self.compile_expr(expr, 0)
-        lay.need(W + 1)
-        FM = lay.Mr(W)
-        if const is not None:
-            _, cx = const
-            return L1 ^ (((cx + FM) >> W) & L1)
-
-        def defined(sim, env, _fn=fn, _FM=FM, _W=W, _L1=L1):
-            _b, x = _fn(sim, env)
-            return _L1 ^ (((x + _FM) >> _W) & _L1)
-        return defined
-
-    def _arith_definite(self, expr):
-        """Lanes where an arithmetic binary actually computes — no x
-        in either operand and (for div/mod) a nonzero divisor; the
-        engines construct an *unsigned* all-x everywhere else."""
-        lay = self.layout
-        L1 = lay.L1
-        lW = self.self_width(expr.left)
-        rW = self.self_width(expr.right)
-        lfn, _, _ = self.compile_expr(expr.left, 0)
-        rfn, _, _ = self.compile_expr(expr.right, 0)
-        lay.need(max(lW, rW) + 1)
-        LFM = lay.Mr(lW)
-        RFM = lay.Mr(rW)
-        zdiv = expr.op in ("/", "%")
-
-        def definite(sim, env, _l=lfn, _r=rfn, _LFM=LFM, _RFM=RFM,
-                     _lW=lW, _rW=rW, _L1=L1, _zdiv=zdiv):
-            lb, lx = _l(sim, env)
-            rb, rx = _r(sim, env)
-            xl = (((lx + _LFM) >> _lW) | ((rx + _RFM) >> _rW)) & _L1
-            mask = _L1 ^ xl
-            if _zdiv:
-                mask &= ((rb + _RFM) >> _rW) & _L1
-            return mask
-        return definite
-
-    def _mem_signed_lanes(self, expr, memory):
-        """Signedness lanes of a memory-word read: per-word from the
-        ``MSg`` planes; an x or out-of-range address reads an unsigned
-        all-x word, so those lanes drop out of the mask."""
-        mm = self.program.mem_by_name[memory.name]
-        mi = mm.idx
-        try:
-            addr = self._const_int(expr.index)
-        except NotPackable:
-            addr = None
-        if addr is not None:
-            if addr < mm.lo or addr > mm.hi:
-                return 0
-            w = addr - mm.lo
-
-            def word_mask(sim, env, _mi=mi, _w=w):
-                return sim.MSg[_mi][_w]
-            return word_mask
-        ifn, iW, _ = self.compile_expr(expr.index, 0)
-        self.layout.need(iW)
-        ifm = (1 << iW) - 1
-
-        def gather(sim, env, _i=ifn, _ifm=ifm, _mi=mi, _lo=mm.lo,
-                   _hi=mm.hi, _S=self.layout.S, _n=self.layout.lanes):
-            ib, ix = _i(sim, env)
-            sg = sim.MSg[_mi]
-            out = 0
-            for lane in range(_n):
-                shift = lane * _S
-                if (ix >> shift) & _ifm:
-                    continue
-                a = (ib >> shift) & _ifm
-                if a < _lo or a > _hi:
-                    continue
-                out |= sg[a - _lo] & (1 << shift)
-            return out
-        return gather
-
-    def _extend(self, fn, W, width, smask):
-        """Per-lane sign/x extension of a ``W``-bit packed value to
-        ``width`` bits for the lanes in ``smask`` (int or closure)
-        whose value is dynamically signed — the packed mirror of
-        ``Value.resize``'s extension rule.  An x at the sign position
-        x-extends (the plane invariant keeps the bits bit clear there,
-        so the two fills are naturally exclusive); unsigned lanes
-        zero-extend for free because the planes are zero above ``W``."""
-        lay = self.layout
-        lay.need(width)
-        L1 = lay.L1
-        F1 = (1 << width) - (1 << W)
-        s = W - 1
-        if callable(smask):
-            def extend_rt(sim, env, _fn=fn, _sm=smask, _s=s, _L1=L1,
-                          _F1=F1):
-                b, x = _fn(sim, env)
-                sw = _sm(sim, env)
-                if not sw:
-                    return b, x
-                return (b | (((b >> _s) & _L1 & sw) * _F1),
-                        x | (((x >> _s) & _L1 & sw) * _F1))
-            return extend_rt
-
-        def extend(sim, env, _fn=fn, _sm=smask, _s=s, _L1=L1, _F1=F1):
-            b, x = _fn(sim, env)
-            return (b | (((b >> _s) & _L1 & _sm) * _F1),
-                    x | (((x >> _s) & _L1 & _sm) * _F1))
-        return extend
-
-    # -- self widths (mirrors Evaluator.self_width) --------------------------
-
-    def self_width(self, expr):
-        if isinstance(expr, ast.Number):
-            return expr.width or 32
-        if isinstance(expr, ast.Identifier):
-            entry = self._signal(expr.name)
-            return entry.width
-        if isinstance(expr, ast.Unary):
-            if expr.op in ("&", "|", "^", "~&", "~|", "~^", "^~", "!"):
-                return 1
-            return self.self_width(expr.operand)
-        if isinstance(expr, ast.Binary):
-            if expr.op in ("==", "!=", "<", "<=", ">", ">=", "===",
-                           "!==", "&&", "||"):
-                return 1
-            if expr.op in ("<<", ">>", "<<<", ">>>", "**"):
-                return self.self_width(expr.left)
-            return max(self.self_width(expr.left),
-                       self.self_width(expr.right))
-        if isinstance(expr, ast.Ternary):
-            return max(self.self_width(expr.then),
-                       self.self_width(expr.otherwise))
-        if isinstance(expr, ast.Concat):
-            return sum(self.self_width(part) for part in expr.parts)
-        if isinstance(expr, ast.Repeat):
-            return self._const_int(expr.count) * self.self_width(expr.value)
-        if isinstance(expr, ast.Index):
-            if isinstance(expr.base, ast.Identifier):
-                entry = self._signal(expr.base.name)
-                if isinstance(entry, Memory):
-                    return entry.width
-            return 1
-        if isinstance(expr, ast.PartSelect):
-            if expr.mode == ":":
-                return abs(self._const_int(expr.msb)
-                           - self._const_int(expr.lsb)) + 1
-            return self._const_int(expr.lsb)
-        if isinstance(expr, ast.FunctionCall):
-            if expr.name in ("$signed", "$unsigned"):
-                return self.self_width(expr.args[0])
-            return 32
-        self.fail(f"unsupported expression {type(expr).__name__}")
-
-    # -- expression compilation ----------------------------------------------
-
-    def compile_expr(self, expr, ctx=0):
-        """Returns ``(fn, width, const)``; ``const`` is the replicated
-        ``(bits, xmask)`` pair when statically known, else ``None``."""
-        method = getattr(self, "_c_" + type(expr).__name__, None)
-        if method is None:
-            self.fail(f"unsupported expression {type(expr).__name__}")
-        return method(expr, ctx)
-
-    def _const_node(self, bits, xmask, width):
-        lay = self.layout
-        lay.need(width)
-        fm = (1 << width) - 1
-        xm = xmask & fm
-        cb = lay.replicate(bits & fm & ~xm, width)
-        cx = lay.replicate(xm, width)
-        pair = (cb, cx)
-        return (lambda sim, env, _pair=pair: _pair), width, pair
-
-    def _c_Number(self, expr, ctx):
-        # Widening a literal does NOT sign-extend (the interpreter
-        # builds ``Value(value, max(width, ctx))`` as-is); the signed
-        # flag only reaches enclosing compares/div/shr via
-        # ``_signed_lanes``.
-        width = max(expr.width or 32, ctx)
-        return self._const_node(expr.value, expr.xmask, width)
-
-    def _c_Identifier(self, expr, ctx):
-        bound = self._loop_bind.get(expr.name)
-        if bound is not None:
-            # Unrolled for-loop variable: its committed value this
-            # iteration is a compile-time constant (kept non-negative
-            # by the unroller, so widening needs no sign-extension
-            # even for a signed variable).
-            entry = self._signal(expr.name)
-            return self._const_node(bound, 0, max(entry.width, ctx))
-        entry = self._signal(expr.name)
-        if isinstance(entry, Value):            # parameter
-            width = max(entry.width, ctx)
-            if width != entry.width:
-                # Parameters carry a definite signedness, so the
-                # context extension folds statically.
-                entry = entry.resize(width)
-            return self._const_node(entry.bits, entry.xmask, width)
-        if isinstance(entry, Memory):
-            self.fail(f"'{expr.name}' is a memory, not a value")
-        if not hasattr(entry, "comb_listeners"):
-            self.fail(f"'{expr.name}' is not a packable signal")
-        meta = self.program.meta_by_name[entry.name]
-        width = max(meta.width, ctx)
-        self.layout.need(width)
-        idx = meta.idx
-
-        def read(sim, env, _idx=idx):
-            entry = env.get(_idx)
-            if entry is None:
-                entry = env[_idx] = (sim.B[_idx], sim.X[_idx])
-            return entry
-
-        if entry.signed and width > meta.width:
-            # Widening read of a signed signal: per-lane extension,
-            # gated on the lanes that have actually written it (a read
-            # before the first write zero-extends — the stored init
-            # value is an *unsigned* all-x).
-            def swritten(sim, env, _idx=idx):
-                return sim._signed_written[_idx]
-            return (self._extend(read, meta.width, width, swritten),
-                    width, None)
-        return read, width, None
-
-    # -- unary ---------------------------------------------------------------
-
-    def _c_Unary(self, expr, ctx):
-        op = expr.op
-        lay = self.layout
-        L1 = lay.L1
-        if op in ("~", "+", "-"):
-            # The interpreter evaluates the operand at
-            # max(self_width, ctx) and, for "~", complements at the
-            # operand's *resulting* width — which widens to the
-            # context for identifiers/selects but stays 1 for
-            # self-determined forms (compares, reductions, logical
-            # ops).  Trust the operand's returned width, never the
-            # requested one.
-            width = max(self.self_width(expr.operand), ctx or 0)
-            fn, W, _ = self.compile_expr(expr.operand, width)
-            if op == "+":
-                return fn, W, None
-            if op == "~":
-                FM = lay.Mr(W)
-
-                def bit_not(sim, env, _fn=fn, _FM=FM):
-                    b, x = _fn(sim, env)
-                    return (_FM ^ b) & (_FM ^ x), x
-                return bit_not, W, None
-            # unary minus: per-lane 0 - operand at the full context
-            # width with a guard bit (a narrower self-determined
-            # operand arrives zero-extended, as in the interpreter's
-            # sub()).
-            FM = lay.Mr(width)
-            lay.need(width + 1)
-            H = L1 << width
-            fm1 = (1 << width) - 1
-
-            def neg(sim, env, _fn=fn, _H=H, _FM=FM, _L1=L1, _W=width,
-                    _fm1=fm1):
-                b, x = _fn(sim, env)
-                t = ((x + _FM) >> _W) & _L1       # lanes with any x
-                xm = t * _fm1
-                return ((_H - b) & _FM) & ~xm, xm
-            return neg, width, None
-        if op == "!":
-            fn, Wc, _ = self.compile_expr(expr.operand, 0)
-            truth = self._truth(fn, Wc)
-
-            def log_not(sim, env, _truth=truth, _L1=L1):
-                t, f, u = _truth(sim, env)
-                return f, u
-            return log_not, 1, None
-        if op in ("&", "|", "~&", "~|"):
-            fn, W, _ = self.compile_expr(expr.operand, 0)
-            lay.need(W + 1)
-            FM = lay.Mr(W)
-
-            if op in ("|", "~|"):
-                def reduce_or(sim, env, _fn=fn, _FM=FM, _W=W, _L1=L1):
-                    b, x = _fn(sim, env)
-                    t = ((b + _FM) >> _W) & _L1
-                    hasx = ((x + _FM) >> _W) & _L1
-                    return t, hasx & (_L1 ^ t)
-                base = reduce_or
-            else:
-                def reduce_and(sim, env, _fn=fn, _FM=FM, _W=W, _L1=L1):
-                    b, x = _fn(sim, env)
-                    notfull = ((((b | x) ^ _FM) + _FM) >> _W) & _L1
-                    full = _L1 ^ notfull
-                    hasx = ((x + _FM) >> _W) & _L1
-                    return full & (_L1 ^ hasx), full & hasx
-                base = reduce_and
-            if op in ("~&", "~|"):
-                def inverted(sim, env, _base=base, _L1=L1):
-                    b, x = _base(sim, env)
-                    return (_L1 ^ b) & (_L1 ^ x), x
-                return inverted, 1, None
-            return base, 1, None
-        self.fail(f"unary '{op}' is not lane-packable")
-
-    def _truth(self, fn, width):
-        """Per-lane three-valued truthiness of a compiled operand:
-        returns ``fn(sim, env) -> (true, false, unknown)`` lane masks."""
-        lay = self.layout
-        lay.need(width + 1)
-        FM = lay.Mr(width)
-        L1 = lay.L1
-        W = width
-
-        def truth(sim, env, _fn=fn, _FM=FM, _W=W, _L1=L1):
-            b, x = _fn(sim, env)
-            t = ((b + _FM) >> _W) & _L1
-            xnz = ((x + _FM) >> _W) & _L1
-            u = xnz & (_L1 ^ t)
-            f = _L1 ^ (t | u)
-            return t, f, u
-        return truth
-
-    # -- binary --------------------------------------------------------------
-
-    _BITWISE = ("&", "|", "^", "~^", "^~")
-    _COMPARE = ("==", "!=", "<", "<=", ">", ">=")
-
-    def _c_Binary(self, expr, ctx):
-        op = expr.op
-        lay = self.layout
-        L1 = lay.L1
-        if op in ("+", "-") or op in self._BITWISE:
-            W = max(self.self_width(expr.left),
-                    self.self_width(expr.right), ctx)
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            rfn, _, _ = self.compile_expr(expr.right, W)
-            FM = lay.Mr(W)
-            if op == "&":
-                def bit_and(sim, env, _l=lfn, _r=rfn, _FM=FM):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    known_zero = ((_FM ^ ab) & (_FM ^ ax)) | \
-                        ((_FM ^ bb) & (_FM ^ bx))
-                    xm = (ax | bx) & (_FM ^ known_zero)
-                    return ab & bb, xm
-                return bit_and, W, None
-            if op == "|":
-                def bit_or(sim, env, _l=lfn, _r=rfn, _FM=FM):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    known_one = ab | bb
-                    xm = (ax | bx) & (_FM ^ known_one)
-                    return known_one & (_FM ^ xm), xm
-                return bit_or, W, None
-            if op == "^":
-                def bit_xor(sim, env, _l=lfn, _r=rfn, _FM=FM):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    xm = ax | bx
-                    return (ab ^ bb) & (_FM ^ xm), xm
-                return bit_xor, W, None
-            if op in ("~^", "^~"):
-                def bit_xnor(sim, env, _l=lfn, _r=rfn, _FM=FM):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    xm = ax | bx
-                    return (_FM ^ (ab ^ bb)) & (_FM ^ xm), xm
-                return bit_xnor, W, None
-            lay.need(W + 1)
-            fm1 = (1 << W) - 1
-            if op == "+":
-                def add(sim, env, _l=lfn, _r=rfn, _FM=FM, _W=W,
-                        _L1=L1, _fm1=fm1):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    t = (((ax | bx) + _FM) >> _W) & _L1
-                    xm = t * _fm1
-                    return ((ab + bb) & _FM) & ~xm, xm
-                return add, W, None
-            H = L1 << W
-
-            def sub(sim, env, _l=lfn, _r=rfn, _FM=FM, _W=W, _L1=L1,
-                    _fm1=fm1, _H=H):
-                ab, ax = _l(sim, env)
-                bb, bx = _r(sim, env)
-                t = (((ax | bx) + _FM) >> _W) & _L1
-                xm = t * _fm1
-                return (((ab | _H) - bb) & _FM) & ~xm, xm
-            return sub, W, None
-        if op in self._COMPARE:
-            W = max(self.self_width(expr.left),
-                    self.self_width(expr.right))
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            rfn, _, _ = self.compile_expr(expr.right, W)
-            lay.need(W + 1)
-            FM = lay.Mr(W)
-            H = L1 << W
-            # Relational compares go signed on the lanes where BOTH
-            # operand values are dynamically signed (``Value._compare``
-            # interprets via ``as_arith``; mixed compares sign-extend
-            # the signed side at the read site, then compare unsigned).
-            # Equality is interpretation-independent.
-            both = 0
-            if op not in ("==", "!="):
-                both = self._sm_and(self._signed_lanes(expr.left),
-                                    self._signed_lanes(expr.right))
-            if callable(both) or both:
-                sgn = 1 << (W - 1)
-
-                def compare_signed(sim, env, _l=lfn, _r=rfn, _FM=FM,
-                                   _W=W, _L1=L1, _H=H, _op=op,
-                                   _sm=both, _sgn=sgn):
-                    ab, ax = _l(sim, env)
-                    bb, bx = _r(sim, env)
-                    xl = (((ax | bx) + _FM) >> _W) & _L1
-                    ne = (((ab ^ bb) + _FM) >> _W) & _L1
-                    sw = _sm(sim, env) if callable(_sm) else _sm
-                    if sw:
-                        # Flipping both sign bits maps signed order
-                        # onto unsigned order, so the borrow trick
-                        # below stays per-lane exact.
-                        flip = sw * _sgn
-                        ab ^= flip
-                        bb ^= flip
-                    ge = (((ab | _H) - bb) >> _W) & _L1
-                    if _op == ">=":
-                        res = ge
-                    elif _op == "<":
-                        res = _L1 ^ ge
-                    elif _op == ">":
-                        res = ge & ne
-                    else:  # "<="
-                        res = (_L1 ^ ge) | (_L1 ^ ne)
-                    return res & ~xl, xl
-                return compare_signed, 1, None
-
-            def compare(sim, env, _l=lfn, _r=rfn, _FM=FM, _W=W,
-                        _L1=L1, _H=H, _op=op):
-                ab, ax = _l(sim, env)
-                bb, bx = _r(sim, env)
-                xl = (((ax | bx) + _FM) >> _W) & _L1
-                ne = (((ab ^ bb) + _FM) >> _W) & _L1
-                if _op == "==":
-                    res = _L1 ^ ne
-                elif _op == "!=":
-                    res = ne
-                else:
-                    ge = (((ab | _H) - bb) >> _W) & _L1
-                    if _op == ">=":
-                        res = ge
-                    elif _op == "<":
-                        res = _L1 ^ ge
-                    elif _op == ">":
-                        res = ge & ne
-                    else:  # "<="
-                        res = (_L1 ^ ge) | (_L1 ^ ne)
-                return res & ~xl, xl
-            # Self-determined 1-bit result: the interpreter never
-            # ctx-widens compares, so "~" over one complements a
-            # single bit (zero-extension is identity on the planes).
-            return compare, 1, None
-        if op in ("===", "!=="):
-            # Case equality: x bits compare as literal values, the
-            # result is always definite (xmask 0).
-            W = max(self.self_width(expr.left),
-                    self.self_width(expr.right))
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            rfn, _, _ = self.compile_expr(expr.right, W)
-            lay.need(W + 1)
-            FM = lay.Mr(W)
-
-            def case_compare(sim, env, _l=lfn, _r=rfn, _FM=FM, _W=W,
-                             _L1=L1, _op=op):
-                ab, ax = _l(sim, env)
-                bb, bx = _r(sim, env)
-                ne = ((((ab ^ bb) | (ax ^ bx)) + _FM) >> _W) & _L1
-                return (ne if _op == "!==" else _L1 ^ ne), 0
-            return case_compare, 1, None
-        if op in ("&&", "||"):
-            lfn, lW, _ = self.compile_expr(expr.left, 0)
-            rfn, rW, _ = self.compile_expr(expr.right, 0)
-            ltruth = self._truth(lfn, lW)
-            rtruth = self._truth(rfn, rW)
-            if op == "&&":
-                def log_and(sim, env, _lt=ltruth, _rt=rtruth, _L1=L1):
-                    ta, fa, _ = _lt(sim, env)
-                    tb, fb, _ = _rt(sim, env)
-                    false = fa | fb
-                    true = ta & tb
-                    return true, _L1 ^ (true | false)
-                return log_and, 1, None
-
-            def log_or(sim, env, _lt=ltruth, _rt=rtruth, _L1=L1):
-                ta, fa, _ = _lt(sim, env)
-                tb, fb, _ = _rt(sim, env)
-                true = ta | tb
-                false = fa & fb
-                return true, _L1 ^ (true | false)
-            return log_or, 1, None
-        if op in ("<<", "<<<", ">>", ">>>"):
-            try:
-                amount = self._const_int(expr.right)
-            except NotPackable:
-                return self._c_shift_lanes(expr, ctx)
-            if amount < 0:
-                self.fail("negative constant shift amount")
-            W = max(self.self_width(expr.left), ctx)
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            lay.need(W)
-            smask = self._signed_lanes(expr.left) if op == ">>>" else 0
-            if (callable(smask) or smask) and op == ">>>":
-                # Arithmetic shift of a (possibly) signed value: 1-fill
-                # from the sign bit on the lanes where the value is
-                # dynamically signed AND the sign bit is a known 1.
-                # The xmask shifts logically regardless (``Value.shr``
-                # never x-fills), and the amount clamps to the width —
-                # so ``>>> W`` of a negative value is all ones, not 0.
-                n = min(amount, W)
-                KM = lay.Mr(W - n) if n < W else 0
-                FILL = ((1 << W) - 1) ^ ((1 << (W - n)) - 1)
-                sgn = W - 1
-
-                def sra(sim, env, _l=lfn, _n=n, _KM=KM, _sm=smask,
-                        _s=sgn, _L1=L1, _FILL=FILL):
-                    b, x = _l(sim, env)
-                    sw = _sm(sim, env) if callable(_sm) else _sm
-                    neg = ((b >> _s) & _L1) & sw
-                    rb = ((b >> _n) & _KM) if _KM else 0
-                    if neg:
-                        rb |= neg * _FILL
-                    return rb, ((x >> _n) & _KM) if _KM else 0
-                return sra, W, None
-            if amount >= W:
-                return self._const_node(0, 0, W)
-            if op in ("<<", "<<<"):
-                KM = lay.Mr(W - amount)
-
-                def shl(sim, env, _l=lfn, _n=amount, _KM=KM):
-                    b, x = _l(sim, env)
-                    return (b & _KM) << _n, (x & _KM) << _n
-                return shl, W, None
-            KM = lay.Mr(W - amount)
-
-            def shr(sim, env, _l=lfn, _n=amount, _KM=KM):
-                b, x = _l(sim, env)
-                return (b >> _n) & _KM, (x >> _n) & _KM
-            return shr, W, None
-        if op in ("*", "/", "%"):
-            # No SWAR trick survives carry chains this long; extract,
-            # compute, and repack per lane (exact but slow — fine for
-            # the rare design that multiplies).
-            W = max(self.self_width(expr.left),
-                    self.self_width(expr.right), ctx)
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            rfn, _, _ = self.compile_expr(expr.right, W)
-            lay.need(W)
-            fm1 = (1 << W) - 1
-            if op == "*":
-                def lane_op(a, b, _m=fm1):
-                    return (a * b) & _m
-            elif op == "/":
-                def lane_op(a, b):
-                    return a // b if b else None
-            else:
-                def lane_op(a, b):
-                    return a % b if b else None
-            # Multiplication is modular (interpretation-independent);
-            # div/mod truncate toward zero on the lanes where BOTH
-            # operands are dynamically signed (``Value.div``/``mod``).
-            both = 0
-            if op != "*":
-                both = self._sm_and(self._signed_lanes(expr.left),
-                                    self._signed_lanes(expr.right))
-            sgn = 1 << (W - 1)
-            mod = 1 << W
-
-            def arith_lanes(sim, env, _l=lfn, _r=rfn, _fm1=fm1,
-                            _S=lay.S, _n=lay.lanes, _op=lane_op,
-                            _sm=both, _sgn=sgn, _mod=mod,
-                            _div=(op == "/")):
-                ab, ax = _l(sim, env)
-                bb, bx = _r(sim, env)
-                sw = _sm(sim, env) if callable(_sm) else _sm
-                rb = 0
-                rx = 0
-                for lane in range(_n):
-                    shift = lane * _S
-                    if ((ax >> shift) & _fm1) | ((bx >> shift) & _fm1):
-                        rx |= _fm1 << shift
-                        continue
-                    a = (ab >> shift) & _fm1
-                    b = (bb >> shift) & _fm1
-                    if (sw >> shift) & 1:
-                        if b == 0:         # raw-bits zero check first
-                            rx |= _fm1 << shift
-                            continue
-                        if a & _sgn:
-                            a -= _mod
-                        if b & _sgn:
-                            b -= _mod
-                        if _div:
-                            value = abs(a) // abs(b)
-                            if (a < 0) != (b < 0):
-                                value = -value
-                        else:
-                            value = abs(a) % abs(b)
-                            if a < 0:
-                                value = -value
-                        rb |= (value & _fm1) << shift
-                        continue
-                    value = _op(a, b)
-                    if value is None:     # division by zero
-                        rx |= _fm1 << shift
-                    else:
-                        rb |= value << shift
-                return rb, rx
-            return arith_lanes, W, None
-        if op == "**":
-            # Exponent is self-determined; mirrors ``Value.power``
-            # (modular result, >64 exponents folded, any x → all x).
-            W = max(self.self_width(expr.left), ctx)
-            lfn, _, _ = self.compile_expr(expr.left, W)
-            rfn, eW, _ = self.compile_expr(expr.right, 0)
-            lay.need(max(W, eW))
-            fm1 = (1 << W) - 1
-            efm = (1 << eW) - 1
-
-            def power_lanes(sim, env, _l=lfn, _r=rfn, _fm1=fm1,
-                            _efm=efm, _S=lay.S, _n=lay.lanes,
-                            _mod=1 << W):
-                ab, ax = _l(sim, env)
-                bb, bx = _r(sim, env)
-                rb = 0
-                rx = 0
-                for lane in range(_n):
-                    shift = lane * _S
-                    if ((ax >> shift) & _fm1) | ((bx >> shift) & _efm):
-                        rx |= _fm1 << shift
-                        continue
-                    exponent = (bb >> shift) & _efm
-                    if exponent > 64:
-                        exponent = exponent % 64 + 64
-                    rb |= pow((ab >> shift) & _fm1, exponent,
-                              _mod) << shift
-                return rb, rx
-            return power_lanes, W, None
-        self.fail(f"binary '{op}' is not lane-packable")
-
-    def _c_shift_lanes(self, expr, ctx):
-        """Shift by a run-time amount: extract, shift, and repack per
-        lane, mirroring ``Value.shl``/``shr`` exactly (x amount → all
-        x; ``<<`` by ≥ width → a *definite* zero, x operand bits
-        included; ``>>`` clamps the amount to the width and ``>>>``
-        additionally 1-fills from a known-1 sign bit on dynamically
-        signed lanes — the xmask always shifts logically)."""
-        lay = self.layout
-        W = max(self.self_width(expr.left), ctx)
-        lfn, _, _ = self.compile_expr(expr.left, W)
-        rfn, aW, _ = self.compile_expr(expr.right, 0)
-        lay.need(max(W, aW))
-        fm1 = (1 << W) - 1
-        afm = (1 << aW) - 1
-        left_shift = expr.op in ("<<", "<<<")
-        smask = self._signed_lanes(expr.left) if expr.op == ">>>" else 0
-
-        def shift_lanes(sim, env, _l=lfn, _r=rfn, _fm1=fm1, _afm=afm,
-                        _W=W, _S=lay.S, _n=lay.lanes, _left=left_shift,
-                        _sm=smask):
-            ab, ax = _l(sim, env)
-            bb, bx = _r(sim, env)
-            sw = _sm(sim, env) if callable(_sm) else _sm
-            rb = 0
-            rx = 0
-            for lane in range(_n):
-                shift = lane * _S
-                if (bx >> shift) & _afm:
-                    rx |= _fm1 << shift
-                    continue
-                n = (bb >> shift) & _afm
-                if _left:
-                    if n >= _W:
-                        continue        # everything shifted out: 0
-                    rb |= (((ab >> shift) & _fm1) << n & _fm1) << shift
-                    rx |= (((ax >> shift) & _fm1) << n & _fm1) << shift
-                    continue
-                if n > _W:
-                    n = _W              # shr clamps: min(amount, width)
-                vb = ((ab >> shift) & _fm1) >> n
-                vx = ((ax >> shift) & _fm1) >> n
-                if (sw >> shift) & 1 and (ab >> (shift + _W - 1)) & 1:
-                    vb |= (_fm1 >> n) ^ _fm1    # arithmetic 1-fill
-                rb |= vb << shift
-                rx |= vx << shift
-            return rb, rx
-        return shift_lanes, W, None
-
-    def _c_Ternary(self, expr, ctx):
-        lay = self.layout
-        L1 = lay.L1
-        cfn, cW, _ = self.compile_expr(expr.cond, 0)
-        truth = self._truth(cfn, cW)
-        W = max(self.self_width(expr.then),
-                self.self_width(expr.otherwise), ctx)
-        tfn, _, _ = self.compile_expr(expr.then, W)
-        efn, _, _ = self.compile_expr(expr.otherwise, W)
-        FM = lay.Mr(W)
-        fm1 = (1 << W) - 1
-
-        def ternary(sim, env, _truth=truth, _t=tfn, _e=efn, _FM=FM,
-                    _fm1=fm1):
-            t, f, u = _truth(sim, env)
-            if not u:
-                if not f:
-                    return _t(sim, env)
-                if not t:
-                    return _e(sim, env)
-            ab, ax = _t(sim, env)
-            bb, bx = _e(sim, env)
-            Te = t * _fm1
-            Fe = f * _fm1
-            if u:
-                Ue = u * _fm1
-                agree = (_FM ^ (ab ^ bb)) & (_FM ^ (ax | bx))
-                bits = (ab & Te) | (bb & Fe) | (ab & agree & Ue)
-                xm = (ax & Te) | (bx & Fe) | ((_FM ^ agree) & Ue)
-                return bits, xm
-            return (ab & Te) | (bb & Fe), (ax & Te) | (bx & Fe)
-        return ternary, W, None
-
-    def _c_Concat(self, expr, ctx):
-        lay = self.layout
-        parts = []
-        offset = 0
-        for part in reversed(expr.parts):     # last part is least significant
-            pw = self.self_width(part)
-            fn, _, _ = self.compile_expr(part, 0)
-            parts.append((fn, lay.Mr(pw), offset))
-            offset += pw
-        total = offset
-        lay.need(max(total, 1))
-        parts = tuple(parts)
-
-        def concat(sim, env, _parts=parts):
-            bits = 0
-            xm = 0
-            for fn, pm, off in _parts:
-                pb, px = fn(sim, env)
-                bits |= (pb & pm) << off
-                xm |= (px & pm) << off
-            return bits, xm
-        width = max(total, 1, ctx)
-        if len(expr.parts) == 1 and ctx > total:
-            # One-part concat degenerates to a resize of the part in
-            # the engines, so a wider context sign-extends on the
-            # lanes where the part's value is dynamically signed.
-            smask = self._signed_lanes(expr.parts[0])
-            if smask:
-                return (self._extend(concat, total, width, smask),
-                        width, None)
-        return concat, width, None
-
-    def _c_Repeat(self, expr, ctx):
-        lay = self.layout
-        count = self._const_int(expr.count)
-        if count < 0:
-            self.fail("negative replication count")
-        uw = self.self_width(expr.value)
-        total = max(count * uw, 1)
-        lay.need(total)
-        if count == 0:
-            return self._const_node(0, 0, max(1, ctx))
-        fn, _, _ = self.compile_expr(expr.value, 0)
-        UM = lay.Mr(uw)
-        factor = 0
-        for k in range(count):
-            factor |= 1 << (k * uw)
-
-        def repeat(sim, env, _fn=fn, _UM=UM, _factor=factor):
-            b, x = _fn(sim, env)
-            return (b & _UM) * _factor, (x & _UM) * _factor
-        width = max(total, ctx)
-        if count == 1 and ctx > total:
-            # ``{1{v}}`` degenerates to ``v`` in the engines: the
-            # single unit IS the result Value, so a wider context
-            # sign-extends on the lanes where ``v`` is dynamically
-            # signed (count >= 2 concatenates, which is unsigned).
-            smask = self._signed_lanes(expr.value)
-            if smask:
-                return (self._extend(repeat, total, width, smask),
-                        width, None)
-        return repeat, width, None
-
-    def _c_Index(self, expr, ctx):
-        lay = self.layout
-        if not isinstance(expr.base, ast.Identifier):
-            self.fail("computed bit-select base")
-        entry = self._signal(expr.base.name)
-        if isinstance(entry, Memory):
-            return self._c_mem_read(expr, entry, ctx)
-        if isinstance(entry, Value) or not hasattr(entry, "comb_listeners"):
-            self.fail("bit-select of a non-signal")
-        try:
-            n = self._const_int(expr.index)
-        except NotPackable:
-            return self._c_index_lanes(expr, entry, ctx)
-        if n < 0 or n >= entry.width:
-            return self._const_node(0, 1, max(1, ctx))
-        meta = self.program.meta_by_name[entry.name]
-        idx = meta.idx
-        L1 = lay.L1
-
-        def select_bit(sim, env, _idx=idx, _n=n, _L1=L1):
-            entry = env.get(_idx)
-            if entry is None:
-                entry = env[_idx] = (sim.B[_idx], sim.X[_idx])
-            return (entry[0] >> _n) & _L1, (entry[1] >> _n) & _L1
-        return select_bit, max(1, ctx), None
-
-    def _c_index_lanes(self, expr, entry, ctx):
-        """Bit-select with a run-time index, per lane: an x or
-        out-of-range index reads x (``Value.select_bit``)."""
-        lay = self.layout
-        meta = self.program.meta_by_name[entry.name]
-        ifn, iW, _ = self.compile_expr(expr.index, 0)
-        lay.need(iW)
-        ifm = (1 << iW) - 1
-        bw = entry.width
-        idx = meta.idx
-
-        def index_lanes(sim, env, _idx=idx, _i=ifn, _ifm=ifm, _bw=bw,
-                        _S=lay.S, _n=lay.lanes):
-            entry = env.get(_idx)
-            if entry is None:
-                entry = env[_idx] = (sim.B[_idx], sim.X[_idx])
-            base_b, base_x = entry
-            ib, ix = _i(sim, env)
-            rb = 0
-            rx = 0
-            for lane in range(_n):
-                shift = lane * _S
-                if (ix >> shift) & _ifm:
-                    rx |= 1 << shift
-                    continue
-                k = (ib >> shift) & _ifm
-                if k >= _bw:
-                    rx |= 1 << shift
-                    continue
-                rb |= ((base_b >> (shift + k)) & 1) << shift
-                rx |= ((base_x >> (shift + k)) & 1) << shift
-            return rb, rx
-        return index_lanes, max(1, ctx), None
-
-    def _c_mem_read(self, expr, memory, ctx):
-        """Packed asynchronous memory-word read.
-
-        Mirrors the interpreter exactly: an x or out-of-range address
-        reads an all-x word (*unsigned*, so a wider context
-        zero-extends it — the x bits stay in the word's own field);
-        an in-range word widens per its own dynamic signedness (words
-        keep the signedness last written)."""
-        lay = self.layout
-        mm = self.program.mem_by_name[memory.name]
-        width = max(mm.width, ctx)
-        lay.need(width)
-        mi = mm.idx
-        wfm = mm.fm
-        try:
-            addr = self._const_int(expr.index)
-        except NotPackable:
-            addr = None
-        if addr is not None:
-            if addr < mm.lo or addr > mm.hi:
-                return self._const_node(0, wfm, width)
-            w = addr - mm.lo
-
-            def read_word(sim, env, _mi=mi, _w=w):
-                return sim.MB[_mi][_w], sim.MX[_mi][_w]
-            if width > mm.width:
-                def word_signed(sim, env, _mi=mi, _w=w):
-                    return sim.MSg[_mi][_w]
-                return (self._extend(read_word, mm.width, width,
-                                     word_signed), width, None)
-            return read_word, width, None
-        ifn, iW, _ = self.compile_expr(expr.index, 0)
-        lay.need(iW)
-        ifm = (1 << iW) - 1
-        F1 = ((1 << width) - (1 << mm.width)) if width > mm.width else 0
-        sgn = mm.width - 1
-
-        def read_lanes(sim, env, _i=ifn, _ifm=ifm, _mi=mi, _lo=mm.lo,
-                       _hi=mm.hi, _wfm=wfm, _F1=F1, _sgn=sgn,
-                       _S=lay.S, _n=lay.lanes):
-            ib, ix = _i(sim, env)
-            MB = sim.MB[_mi]
-            MX = sim.MX[_mi]
-            MSg = sim.MSg[_mi]
-            rb = 0
-            rx = 0
-            for lane in range(_n):
-                shift = lane * _S
-                if (ix >> shift) & _ifm:
-                    rx |= _wfm << shift
-                    continue
-                a = (ib >> shift) & _ifm
-                if a < _lo or a > _hi:
-                    rx |= _wfm << shift
-                    continue
-                w = a - _lo
-                b = (MB[w] >> shift) & _wfm
-                x = (MX[w] >> shift) & _wfm
-                if _F1 and (MSg[w] >> shift) & 1:
-                    if x >> _sgn:
-                        x |= _F1
-                    elif b >> _sgn:
-                        b |= _F1
-                rb |= b << shift
-                rx |= x << shift
-            return rb, rx
-        return read_lanes, width, None
-
-    def _c_PartSelect(self, expr, ctx):
-        lay = self.layout
-        if not isinstance(expr.base, ast.Identifier):
-            self.fail("computed part-select base")
-        entry = self._signal(expr.base.name)
-        if isinstance(entry, Value) or isinstance(entry, Memory) or \
-                not hasattr(entry, "comb_listeners"):
-            self.fail("part-select of a non-signal")
-        if expr.mode == ":":
-            hi = self._const_int(expr.msb)
-            lo = self._const_int(expr.lsb)
-            if hi < lo:
-                hi, lo = lo, hi
-        elif expr.mode == "+:":
-            try:
-                lo = self._const_int(expr.msb)
-            except NotPackable:
-                return self._c_part_select_lanes(expr, entry, ctx)
-            hi = lo + self._const_int(expr.lsb) - 1
-        else:  # "-:"
-            try:
-                hi = self._const_int(expr.msb)
-            except NotPackable:
-                return self._c_part_select_lanes(expr, entry, ctx)
-            lo = hi - self._const_int(expr.lsb) + 1
-        width = hi - lo + 1
-        if width < 1 or lo < 0 or hi >= entry.width:
-            self.fail("out-of-range part-select")
-        meta = self.program.meta_by_name[entry.name]
-        idx = meta.idx
-        WM = lay.Mr(width)
-
-        def select_range(sim, env, _idx=idx, _lo=lo, _WM=WM):
-            entry = env.get(_idx)
-            if entry is None:
-                entry = env[_idx] = (sim.B[_idx], sim.X[_idx])
-            return (entry[0] >> _lo) & _WM, (entry[1] >> _lo) & _WM
-        return select_range, max(width, ctx), None
-
-    def _c_part_select_lanes(self, expr, entry, ctx):
-        """``+:``/``-:`` part select with a run-time start, per lane.
-
-        The width stays constant (it must: it is the expression's
-        self-determined width); the start is extracted per lane and fed
-        through ``Value.select_range`` semantics — x start → all x,
-        bits above the signal read x, bits below index 0 read 0."""
-        lay = self.layout
-        meta = self.program.meta_by_name[entry.name]
-        width = self._const_int(expr.lsb) or 1
-        sfn, sW, _ = self.compile_expr(expr.msb, 0)
-        lay.need(max(width, sW))
-        sfm = (1 << sW) - 1
-        wm = (1 << width) - 1
-        bw = entry.width
-        idx = meta.idx
-        plus = expr.mode == "+:"
-
-        def part_select_lanes(sim, env, _idx=idx, _s=sfn, _sfm=sfm,
-                              _wm=wm, _w=width, _bw=bw, _plus=plus,
-                              _S=lay.S, _n=lay.lanes):
-            entry = env.get(_idx)
-            if entry is None:
-                entry = env[_idx] = (sim.B[_idx], sim.X[_idx])
-            base_b, base_x = entry
-            sb, sx = _s(sim, env)
-            rb = 0
-            rx = 0
-            for lane in range(_n):
-                shift = lane * _S
-                if (sx >> shift) & _sfm:
-                    rx |= _wm << shift
-                    continue
-                start = (sb >> shift) & _sfm
-                if _plus:
-                    lsb, msb = start, start + _w - 1
-                else:
-                    lsb, msb = start - _w + 1, start
-                if lsb >= _bw:
-                    rx |= _wm << shift
-                    continue
-                bb = (base_b >> (shift + lsb)) & _wm if lsb >= 0 \
-                    else ((base_b >> shift) << -lsb) & _wm
-                bx = (base_x >> (shift + lsb)) & _wm if lsb >= 0 \
-                    else ((base_x >> shift) << -lsb) & _wm
-                if msb >= _bw:
-                    # Clamp to the lane's field (bits above it belong
-                    # to the guard/next lane) and read them as x.
-                    valid = (1 << (_bw - lsb)) - 1
-                    bb &= valid
-                    bx = (bx & valid) | (_wm ^ valid)
-                rb |= bb << shift
-                rx |= bx << shift
-            return rb, rx
-        return part_select_lanes, max(width, ctx), None
-
-    def _c_FunctionCall(self, expr, ctx):
-        if expr.name == "$unsigned" and expr.args:
-            fn, W, const = self.compile_expr(expr.args[0], 0)
-            return fn, max(W, ctx), const
-        if expr.name == "$signed" and expr.args:
-            # Reinterpret at the operand's self-determined width, THEN
-            # extend to context — unconditionally (every lane), unlike
-            # a declared-signed signal read.
-            fn, W, const = self.compile_expr(expr.args[0], 0)
-            width = max(W, ctx)
-            if const is not None:
-                fm = (1 << W) - 1
-                value = Value(const[0] & fm, W, const[1] & fm,
-                              signed=True).resize(width)
-                return self._const_node(value.bits, value.xmask, width)
-            if width > W:
-                return (self._extend(fn, W, width, self.layout.L1),
-                        width, None)
-            return fn, W, None
-        if expr.name == "$clog2" and expr.args:
-            value = self._const_int(expr.args[0])
-            result = max(value - 1, 0).bit_length()
-            return self._const_node(result, 0, max(32, ctx))
-        self.fail(f"function '{expr.name}' is not lane-packable")
-
-    # -- statements ----------------------------------------------------------
-
-    def compile_body(self):
-        """Compile the whole process body; returns the activation fn.
-
-        Comb bodies stage defer-eligible stores in ``env`` and commit
-        each written signal once per activation (mirroring the fused
-        kernel's deferred stores, so event counts agree); seq bodies
-        commit blocking stores immediately and queue NBA stores as
-        ``(meta, mask, bits, xmask)`` packets.
-        """
-        self._deferred = []          # [(meta, idx)] in first-write order
-        self._deferred_seen = set()
-        fns = []
-        for stmt in self.process.body:
-            fn = self.compile_stmt(stmt)
-            if fn is not None:
-                fns.append(fn)
-        fns = tuple(fns)
-        if self.process.kind == "seq":
-            def run_seq(sim, mask, _fns=fns):
-                env = {}
-                for fn in _fns:
-                    fn(sim, env, mask)
-            return run_seq
-        # comb: one activation covers exactly the lanes whose inputs
-        # changed (the scheduler's per-level lane mask).
-        pos = self.program.level_of[id(self.process)]
-        commits = tuple(self._deferred)
-
-        def run_comb(sim, mask, _fns=fns, _commits=commits, _pos=pos):
-            env = {}
-            for fn in _fns:
-                fn(sim, env, mask)
-            for meta, idx in _commits:
-                entry = env.get(idx)
-                if entry is not None:
-                    sim._commit(meta, mask, entry[0], entry[1],
-                                exclude=_pos)
-        return run_comb
-
-    def compile_stmt(self, stmt):
-        if isinstance(stmt, ast.Assign):
-            return self._compile_assign(stmt)
-        if isinstance(stmt, ast.Block):
-            fns = []
-            for child in stmt.statements:
-                fn = self.compile_stmt(child)
-                if fn is not None:
-                    fns.append(fn)
-            if not fns:
-                return None
-            if len(fns) == 1:
-                return fns[0]
-            fns = tuple(fns)
-
-            def block(sim, env, mask, _fns=fns):
-                for fn in _fns:
-                    fn(sim, env, mask)
-            return block
-        if isinstance(stmt, ast.If):
-            return self._compile_if(stmt)
-        if isinstance(stmt, ast.Case):
-            return self._compile_case(stmt)
-        if isinstance(stmt, ast.For):
-            return self._compile_for(stmt)
-        if isinstance(stmt, ast.NullStmt):
-            return None
-        self.fail(f"unsupported statement {type(stmt).__name__}")
-
-    def _compile_for(self, stmt):
-        """Unroll a compile-time-bounded ``for`` loop.
-
-        The loop variable must be a plain signal written only by the
-        loop's own init/step, with the init value, condition, and step
-        all folding to constants once the variable is bound.  Each
-        iteration compiles the body with the variable bound to its
-        known committed value — reads fold to constants, so shift
-        amounts and bit/part-select addresses become structural
-        constants — while the init/step still compile as *real*
-        assignments, so the variable's commits (event counts, traces,
-        listener wakes) mirror the scalar engines'.  Anything else
-        demotes, exactly as before.
-        """
-        init, step = stmt.init, stmt.step
-        if not (isinstance(init, ast.Assign)
-                and isinstance(init.target, ast.Identifier)
-                and isinstance(step, ast.Assign)
-                and isinstance(step.target, ast.Identifier)
-                and init.target.name == step.target.name):
-            self.fail("for-loop without a single plain loop variable")
-        name = init.target.name
-        entry = self._target_signal(name)
-        if (isinstance(entry, (Value, Memory))
-                or not hasattr(entry, "comb_listeners")):
-            self.fail("for-loop variable is not a packable signal")
-        if name in self._loop_bind:
-            self.fail("for-loop variable shadows an enclosing loop")
-        if self._stmt_writes(stmt.body, name):
-            self.fail("for-loop body writes the loop variable")
-        w = entry.width
-        fm = (1 << w) - 1
-        top = 1 << (w - 1) if getattr(entry, "signed", False) else 0
-
-        def committed(expr):
-            # The value the assignment stores: RHS resized to the
-            # variable's width.  A signed variable must stay in the
-            # non-negative range — the constant folds (and the plain
-            # comparisons below) read its bits as its value.
-            try:
-                val = self._const_int(expr) & fm
-            except NotPackable:
-                self.fail("non-constant for-loop bound")
-            if val & top:
-                self.fail("for-loop value leaves the non-negative "
-                          "range")
-            return val
-
-        fns = []
-        fn = self._compile_assign(init)
-        if fn is not None:
-            fns.append(fn)
-        val = committed(init.value)
-        iters = 0
-        try:
-            while True:
-                self._loop_bind[name] = val
-                if not self._fold_loop_cond(stmt.cond):
-                    break
-                iters += 1
-                if iters > _MAX_UNROLL:
-                    self.fail("for-loop unrolls past the iteration "
-                              "budget")
-                if stmt.body is not None:
-                    fn = self.compile_stmt(stmt.body)
-                    if fn is not None:
-                        fns.append(fn)
-                fn = self._compile_assign(step)
-                if fn is not None:
-                    fns.append(fn)
-                val = committed(step.value)
-        finally:
-            self._loop_bind.pop(name, None)
-        if not fns:
-            return None
-        if len(fns) == 1:
-            return fns[0]
-        fns = tuple(fns)
-
-        def unrolled(sim, env, mask, _fns=fns):
-            for fn in _fns:
-                fn(sim, env, mask)
-        return unrolled
-
-    def _fold_loop_cond(self, cond):
-        """Compile-time truth of a for condition with the loop
-        variable bound; mirrors ``Value._compare`` on definite
-        operands (each side extends per its OWN signedness to the
-        common width, then compares signed iff both are signed)."""
-        if not (isinstance(cond, ast.Binary)
-                and cond.op in ("==", "!=", "<", "<=", ">", ">=")):
-            self.fail("non-constant for-loop condition")
-        try:
-            lw = self.self_width(cond.left)
-            rw = self.self_width(cond.right)
-            lv = self._const_int(cond.left) & ((1 << lw) - 1)
-            rv = self._const_int(cond.right) & ((1 << rw) - 1)
-        except NotPackable:
-            self.fail("non-constant for-loop condition")
-        ls = not self._const_unsigned(cond.left)
-        rs = not self._const_unsigned(cond.right)
-        W = max(lw, rw)
-
-        def ext(v, vw, sgn):
-            if sgn and vw and (v >> (vw - 1)) & 1:
-                v |= ((1 << W) - 1) ^ ((1 << vw) - 1)
-            return v
-
-        a = ext(lv, lw, ls)
-        b = ext(rv, rw, rs)
-        if ls and rs:
-            half = 1 << (W - 1)
-            if a & half:
-                a -= 1 << W
-            if b & half:
-                b -= 1 << W
-        return {"==": a == b, "!=": a != b, "<": a < b,
-                "<=": a <= b, ">": a > b, ">=": a >= b}[cond.op]
-
-    def _stmt_writes(self, stmt, name):
-        """Does any assignment under ``stmt`` target ``name``?"""
-        if stmt is None or isinstance(stmt, ast.NullStmt):
-            return False
-        if isinstance(stmt, ast.Assign):
-            target = stmt.target
-            parts = (target.parts if isinstance(target, ast.Concat)
-                     else [target])
-            for part in parts:
-                if isinstance(part, ast.Identifier) and \
-                        part.name == name:
-                    return True
-                if isinstance(part, (ast.Index, ast.PartSelect)) and \
-                        isinstance(part.base, ast.Identifier) and \
-                        part.base.name == name:
-                    return True
-            return False
-        if isinstance(stmt, ast.Block):
-            return any(self._stmt_writes(s, name)
-                       for s in stmt.statements)
-        if isinstance(stmt, ast.If):
-            return (self._stmt_writes(stmt.then_stmt, name)
-                    or self._stmt_writes(stmt.else_stmt, name))
-        if isinstance(stmt, ast.Case):
-            return any(self._stmt_writes(item.body, name)
-                       for item in stmt.items)
-        if isinstance(stmt, ast.For):
-            return (self._stmt_writes(stmt.init, name)
-                    or self._stmt_writes(stmt.step, name)
-                    or self._stmt_writes(stmt.body, name))
-        if isinstance(stmt, ast.While):
-            return self._stmt_writes(stmt.body, name)
-        return True     # unknown statement: assume it does
-
-    def _assign_target(self, target):
-        """Resolve a target to ``(signal, lo, slice_width)``.
-
-        Constant-bounds bit/part-select targets lower to masked
-        sub-field commits (mirroring the engine's schedule-time address
-        resolution + store-time read-modify-write); anything with
-        run-time addressing demotes the process."""
-        if isinstance(target, ast.Identifier):
-            entry = self._target_signal(target.name)
-            if (isinstance(entry, (Value, Memory))
-                    or not hasattr(entry, "comb_listeners")):
-                self.fail("assignment to a non-signal")
-            return entry, 0, entry.width
-        if isinstance(target, ast.Index):
-            if not isinstance(target.base, ast.Identifier):
-                self.fail("non-identifier bit-select target base")
-            entry = self._target_signal(target.base.name)
-            if (isinstance(entry, (Value, Memory))
-                    or not hasattr(entry, "comb_listeners")):
-                self.fail("bit-select assignment to a non-signal")
-            bit = self._const_int(target.index)
-            if bit < 0 or bit >= entry.width:
-                self.fail("out-of-range bit-select target")
-            return entry, bit, 1
-        if isinstance(target, ast.PartSelect):
-            if not isinstance(target.base, ast.Identifier):
-                self.fail("non-identifier part-select target base")
-            entry = self._target_signal(target.base.name)
-            if (isinstance(entry, (Value, Memory))
-                    or not hasattr(entry, "comb_listeners")):
-                self.fail("part-select assignment to a non-signal")
-            if target.mode == ":":
-                hi = self._const_int(target.msb)
-                lo = self._const_int(target.lsb)
-                if hi < lo:
-                    hi, lo = lo, hi
-            elif target.mode == "+:":
-                lo = self._const_int(target.msb)
-                hi = lo + self._const_int(target.lsb) - 1
-            else:  # "-:"
-                hi = self._const_int(target.msb)
-                lo = hi - self._const_int(target.lsb) + 1
-            if lo < 0 or hi < lo or hi >= entry.width:
-                self.fail("out-of-range part-select target")
-            return entry, lo, hi - lo + 1
-        self.fail("non-identifier assignment target")
-
-    def _compile_assign(self, stmt):
-        if isinstance(stmt.target, ast.Concat):
-            return self._compile_assign_concat(stmt)
-        if (isinstance(stmt.target, ast.Index)
-                and isinstance(stmt.target.base, ast.Identifier)):
-            entry = self._target_signal(stmt.target.base.name)
-            if isinstance(entry, Memory):
-                return self._compile_mem_store(stmt, entry)
-        entry, lo, tw = self._assign_target(stmt.target)
-        meta = self.program.meta_by_name[entry.name]
-        if lo != 0 or tw != meta.width:
-            return self._compile_assign_slice(stmt, entry, meta, lo, tw)
-        vfn, _, _ = self.compile_expr(stmt.value, tw)
-        TM = self.layout.Mr(tw)
-        idx = meta.idx
-        fm = meta.fm
-        kind = self.process.kind
-        if kind == "comb":
-            if self.program.defer_ok[idx]:
-                if idx not in self._deferred_seen:
-                    self._deferred_seen.add(idx)
-                    self._deferred.append((meta, idx))
-
-                def assign_staged(sim, env, mask, _v=vfn, _idx=idx,
-                                  _TM=TM, _fm=fm):
-                    vb, vx = _v(sim, env)
-                    entry = env.get(_idx)
-                    if entry is None:
-                        entry = (sim.B[_idx], sim.X[_idx])
-                    me = mask * _fm
-                    env[_idx] = ((entry[0] & ~me) | (vb & me),
-                                 (entry[1] & ~me) | (vx & me))
-                return assign_staged
-            pos = self.program.level_of[id(self.process)]
-
-            def assign_comb_now(sim, env, mask, _v=vfn, _meta=meta,
-                                _idx=idx, _TM=TM, _fm=fm, _pos=pos):
-                vb, vx = _v(sim, env)
-                vb &= _TM
-                vx &= _TM
-                sim._commit(_meta, mask, vb, vx, exclude=_pos)
-                entry = env.get(_idx)
-                if entry is None:
-                    entry = (sim.B[_idx], sim.X[_idx])
-                me = mask * _fm
-                env[_idx] = ((entry[0] & ~me) | (vb & me),
-                             (entry[1] & ~me) | (vx & me))
-            return assign_comb_now
-        if stmt.blocking:
-            def assign_blocking(sim, env, mask, _v=vfn, _meta=meta,
-                                _idx=idx, _TM=TM, _fm=fm):
-                vb, vx = _v(sim, env)
-                vb &= _TM
-                vx &= _TM
-                sim._commit(_meta, mask, vb, vx)
-                entry = env.get(_idx)
-                if entry is None:
-                    entry = (sim.B[_idx], sim.X[_idx])
-                me = mask * _fm
-                env[_idx] = ((entry[0] & ~me) | (vb & me),
-                             (entry[1] & ~me) | (vx & me))
-            return assign_blocking
-
-        def assign_nba(sim, env, mask, _v=vfn, _meta=meta, _TM=TM):
-            vb, vx = _v(sim, env)
-            sim._nba.append((_meta, mask, vb & _TM, vx & _TM, None))
-        return assign_nba
-
-    def _compile_mem_store(self, stmt, memory):
-        """Store to one memory word: ``mem[addr] <= value``.
-
-        Mirrors the kernel's ``_mem_write``: an x or out-of-range
-        address drops the store but the event count still bumps and
-        comb listeners still wake; the stored word takes the RHS
-        value's dynamic signedness (``Memory.write`` only resizes on a
-        width mismatch).  Non-blocking stores resolve address and
-        value at schedule time, exactly like the kernel's
-        ``_pt(_MW, ...)`` partial."""
-        lay = self.layout
-        mm = self.program.mem_by_name[memory.name]
-        vfn, _, _ = self.compile_expr(stmt.value, mm.width)
-        TM = lay.Mr(mm.width)
-        smask = self._signed_lanes(stmt.value)
-        kind = self.process.kind
-        pos = (self.program.level_of[id(self.process)]
-               if kind == "comb" else None)
-        deferred = kind != "comb" and not stmt.blocking
-        try:
-            addr = self._const_int(stmt.target.index)
-        except NotPackable:
-            addr = None
-        if addr is not None:
-            w = addr - mm.lo if mm.lo <= addr <= mm.hi else None
-            if deferred:
-                def store_nba(sim, env, mask, _v=vfn, _mm=mm, _w=w,
-                              _TM=TM, _sm=smask):
-                    vb, vx = _v(sim, env)
-                    sw = _sm(sim, env) if callable(_sm) else _sm
-                    sim._nba.append(("mem", _mm, _w, mask, vb & _TM,
-                                     vx & _TM, sw))
-                return store_nba
-
-            def store_now(sim, env, mask, _v=vfn, _mm=mm, _w=w,
-                          _TM=TM, _sm=smask, _pos=pos):
-                vb, vx = _v(sim, env)
-                sw = _sm(sim, env) if callable(_sm) else _sm
-                sim._mem_commit_word(_mm, _w, mask, vb & _TM,
-                                     vx & _TM, sw, exclude=_pos)
-            return store_now
-        ifn, iW, _ = self.compile_expr(stmt.target.index, 0)
-        lay.need(iW)
-        ifm = (1 << iW) - 1
-        if deferred:
-            def store_rt_nba(sim, env, mask, _v=vfn, _i=ifn,
-                             _ifm=ifm, _mm=mm, _TM=TM, _sm=smask):
-                vb, vx = _v(sim, env)
-                ib, ix = _i(sim, env)
-                sw = _sm(sim, env) if callable(_sm) else _sm
-                sim._nba.append(("mem-rt", _mm, (ib, ix, _ifm), mask,
-                                 vb & _TM, vx & _TM, sw))
-            return store_rt_nba
-
-        def store_rt(sim, env, mask, _v=vfn, _i=ifn, _ifm=ifm,
-                     _mm=mm, _TM=TM, _sm=smask, _pos=pos):
-            vb, vx = _v(sim, env)
-            ib, ix = _i(sim, env)
-            sw = _sm(sim, env) if callable(_sm) else _sm
-            sim._mem_commit_lanes(_mm, mask, ib, ix, _ifm, vb & _TM,
-                                  vx & _TM, sw, exclude=_pos)
-        return store_rt
-
-    def _compile_assign_slice(self, stmt, entry, meta, lo, tw):
-        """Assignment to a constant bit/part-select of ``entry``.
-
-        The RHS evaluates in the slice's width, shifts into field
-        position, and commits under a narrowed field mask so the other
-        bits read-modify-write from the live plane — at commit time for
-        blocking stores, at flush time for NBA stores (matching the
-        engine's ``replace_bits``-in-the-store-closure semantics)."""
-        vfn, _, _ = self.compile_expr(stmt.value, tw)
-        TM = self.layout.Mr(tw)
-        sfm = ((1 << tw) - 1) << lo    # single-lane field mask
-        idx = meta.idx
-        kind = self.process.kind
-        if kind == "comb":
-            if self.program.defer_ok[idx]:
-                if idx not in self._deferred_seen:
-                    self._deferred_seen.add(idx)
-                    self._deferred.append((meta, idx))
-
-                def staged_slice(sim, env, mask, _v=vfn, _idx=idx,
-                                 _TM=TM, _fm=sfm, _lo=lo):
-                    vb, vx = _v(sim, env)
-                    vb = (vb & _TM) << _lo
-                    vx = (vx & _TM) << _lo
-                    entry = env.get(_idx)
-                    if entry is None:
-                        entry = (sim.B[_idx], sim.X[_idx])
-                    me = mask * _fm
-                    env[_idx] = ((entry[0] & ~me) | (vb & me),
-                                 (entry[1] & ~me) | (vx & me))
-                return staged_slice
-            pos = self.program.level_of[id(self.process)]
-
-            def comb_now_slice(sim, env, mask, _v=vfn, _meta=meta,
-                               _idx=idx, _TM=TM, _fm=sfm, _lo=lo,
-                               _pos=pos):
-                vb, vx = _v(sim, env)
-                vb = (vb & _TM) << _lo
-                vx = (vx & _TM) << _lo
-                sim._commit(_meta, mask, vb, vx, _pos, _fm)
-                entry = env.get(_idx)
-                if entry is None:
-                    entry = (sim.B[_idx], sim.X[_idx])
-                me = mask * _fm
-                env[_idx] = ((entry[0] & ~me) | (vb & me),
-                             (entry[1] & ~me) | (vx & me))
-            return comb_now_slice
-        if stmt.blocking:
-            def blocking_slice(sim, env, mask, _v=vfn, _meta=meta,
-                               _idx=idx, _TM=TM, _fm=sfm, _lo=lo):
-                vb, vx = _v(sim, env)
-                vb = (vb & _TM) << _lo
-                vx = (vx & _TM) << _lo
-                sim._commit(_meta, mask, vb, vx, None, _fm)
-                entry = env.get(_idx)
-                if entry is None:
-                    entry = (sim.B[_idx], sim.X[_idx])
-                me = mask * _fm
-                env[_idx] = ((entry[0] & ~me) | (vb & me),
-                             (entry[1] & ~me) | (vx & me))
-            return blocking_slice
-
-        def nba_slice(sim, env, mask, _v=vfn, _meta=meta, _TM=TM,
-                      _fm=sfm, _lo=lo):
-            vb, vx = _v(sim, env)
-            sim._nba.append((_meta, mask, (vb & _TM) << _lo,
-                             (vx & _TM) << _lo, _fm))
-        return nba_slice
-
-    def _compile_assign_concat(self, stmt):
-        """``{a, b[3:0]} = value``: the RHS evaluates once at the total
-        width, then splits into per-part field stores MSB-first — the
-        kernel's concat-store order, so event ordering agrees."""
-        targets = [self._assign_target(part) for part in stmt.target.parts]
-        total = sum(tw for _, _, tw in targets)
-        vfn, _, _ = self.compile_expr(stmt.value, total)
-        self.layout.need(max(total, 1))
-        kind = self.process.kind
-        pos = (self.program.level_of[id(self.process)]
-               if kind == "comb" else None)
-        stores = []
-        off = total
-        for entry, lo, tw in targets:
-            off -= tw
-            meta = self.program.meta_by_name[entry.name]
-            if kind == "comb":
-                if self.program.defer_ok[meta.idx]:
-                    mode = "staged"
-                    if meta.idx not in self._deferred_seen:
-                        self._deferred_seen.add(meta.idx)
-                        self._deferred.append((meta, meta.idx))
-                else:
-                    mode = "comb_now"
-            elif stmt.blocking:
-                mode = "blocking"
-            else:
-                mode = "nba"
-            stores.append(
-                self._concat_part_store(meta, lo, tw, off, mode, pos))
-        stores = tuple(stores)
-
-        def assign_concat(sim, env, mask, _v=vfn, _stores=stores):
-            vb, vx = _v(sim, env)
-            for store in _stores:
-                store(sim, env, mask, vb, vx)
-        return assign_concat
-
-    def _concat_part_store(self, meta, lo, tw, off, mode, pos):
-        """One concat part's store: ``fn(sim, env, mask, vb, vx)``
-        slices the part's field out of the already-evaluated RHS planes
-        and commits/stages it like the equivalent standalone store."""
-        TM = self.layout.Mr(tw)
-        idx = meta.idx
-        full = (lo == 0 and tw == meta.width)
-        fm = meta.fm if full else ((1 << tw) - 1) << lo
-        commit_fm = None if full else fm
-        if mode == "staged":
-            def staged(sim, env, mask, vb, vx, _idx=idx, _TM=TM,
-                       _off=off, _lo=lo, _fm=fm):
-                pb = ((vb >> _off) & _TM) << _lo
-                px = ((vx >> _off) & _TM) << _lo
-                entry = env.get(_idx)
-                if entry is None:
-                    entry = (sim.B[_idx], sim.X[_idx])
-                me = mask * _fm
-                env[_idx] = ((entry[0] & ~me) | (pb & me),
-                             (entry[1] & ~me) | (px & me))
-            return staged
-        if mode == "nba":
-            def nba(sim, env, mask, vb, vx, _meta=meta, _TM=TM,
-                    _off=off, _lo=lo, _cfm=commit_fm):
-                sim._nba.append((_meta, mask, ((vb >> _off) & _TM) << _lo,
-                                 ((vx >> _off) & _TM) << _lo, _cfm))
-            return nba
-        exclude = pos if mode == "comb_now" else None
-
-        def commit_now(sim, env, mask, vb, vx, _meta=meta, _idx=idx,
-                       _TM=TM, _off=off, _lo=lo, _fm=fm,
-                       _cfm=commit_fm, _ex=exclude):
-            pb = ((vb >> _off) & _TM) << _lo
-            px = ((vx >> _off) & _TM) << _lo
-            sim._commit(_meta, mask, pb, px, _ex, _cfm)
-            entry = env.get(_idx)
-            if entry is None:
-                entry = (sim.B[_idx], sim.X[_idx])
-            me = mask * _fm
-            env[_idx] = ((entry[0] & ~me) | (pb & me),
-                         (entry[1] & ~me) | (px & me))
-        return commit_now
-
-    def _compile_if(self, stmt):
-        cfn, cW, _ = self.compile_expr(stmt.cond, 0)
-        truth = self._truth(cfn, cW)
-        then_fn = self.compile_stmt(stmt.then_stmt)
-        else_fn = (self.compile_stmt(stmt.else_stmt)
-                   if stmt.else_stmt is not None else None)
-
-        def if_stmt(sim, env, mask, _truth=truth, _then=then_fn,
-                    _else=else_fn):
-            t, f, u = _truth(sim, env)
-            tm = mask & t
-            if tm and _then is not None:
-                _then(sim, env, tm)
-            em = mask ^ tm           # x-condition lanes take the else arm
-            if em and _else is not None:
-                _else(sim, env, em)
-        return if_stmt
-
-    def _compile_case(self, stmt):
-        lay = self.layout
-        L1 = lay.L1
-        sfn, sW, _ = self.compile_expr(stmt.subject, 0)
-        # A label wider than the subject makes the comparison resize
-        # the subject per its own dynamic signedness.  Each matcher
-        # extends to ITS label width (extending once to the widest
-        # label would leak extension bits into a narrower matcher's
-        # carry collapse), gated on the subject's signed-lane mask.
-        smask = self._signed_lanes(stmt.subject)
-        sgn = sW - 1
-        items = []
-        default_fn = None
-        for item in stmt.items:
-            body_fn = (self.compile_stmt(item.body)
-                       if item.body is not None else None)
-            if not item.labels:      # default arm (tried last)
-                default_fn = body_fn
-                continue
-            matchers = []
-            for label in item.labels:
-                _, lW, const = self.compile_expr(label, sW)
-                if const is None:
-                    self.fail("non-constant case label")
-                lb, lx = const
-                Wm = lW
-                lay.need(Wm + 1)
-                FM = lay.Mr(Wm)
-                EXT = ((1 << Wm) - (1 << sW)) if Wm > sW else 0
-                if stmt.kind == "case":
-                    def match(sb, sx, sw, _lb=lb, _lx=lx, _FM=FM,
-                              _W=Wm, _L1=L1, _E=EXT, _s=sgn):
-                        if _E and sw:
-                            sb = sb | (((sb >> _s) & _L1 & sw) * _E)
-                            sx = sx | (((sx >> _s) & _L1 & sw) * _E)
-                        diff = (sb ^ _lb) | (sx ^ _lx)
-                        return _L1 ^ (((diff + _FM) >> _W) & _L1)
-                elif stmt.kind == "casez":
-                    def match(sb, sx, sw, _lb=lb, _lx=lx, _FM=FM,
-                              _W=Wm, _L1=L1, _E=EXT, _s=sgn):
-                        if _E and sw:
-                            sb = sb | (((sb >> _s) & _L1 & sw) * _E)
-                            sx = sx | (((sx >> _s) & _L1 & sw) * _E)
-                        keep = _FM ^ _lx
-                        diff = (((sb ^ _lb) | sx) & keep)
-                        return _L1 ^ (((diff + _FM) >> _W) & _L1)
-                else:  # casex
-                    def match(sb, sx, sw, _lb=lb, _lx=lx, _FM=FM,
-                              _W=Wm, _L1=L1, _E=EXT, _s=sgn):
-                        if _E and sw:
-                            sb = sb | (((sb >> _s) & _L1 & sw) * _E)
-                            sx = sx | (((sx >> _s) & _L1 & sw) * _E)
-                        diff = (sb ^ _lb) & (_FM ^ _lx) & (_FM ^ sx)
-                        return _L1 ^ (((diff + _FM) >> _W) & _L1)
-                matchers.append(match)
-            items.append((tuple(matchers), body_fn))
-        items = tuple(items)
-
-        def case_stmt(sim, env, mask, _sfn=sfn, _items=items,
-                      _default=default_fn, _sm=smask):
-            sb, sx = _sfn(sim, env)
-            sw = _sm(sim, env) if callable(_sm) else _sm
-            remaining = mask
-            for matchers, body_fn in _items:
-                if not remaining:
-                    break
-                hit = 0
-                for match in matchers:
-                    hit |= match(sb, sx, sw)
-                hit &= remaining
-                if hit:
-                    if body_fn is not None:
-                        body_fn(sim, env, hit)
-                    remaining ^= hit
-            if remaining and _default is not None:
-                _default(sim, env, remaining)
-        return case_stmt
-
-
-class _LaneProgram:
-    """A compiled, design-instance-independent lane program.
-
-    Closures capture only ints, tuples and :class:`_SigMeta` objects,
-    so one program (memoized by elaboration fingerprint + lane count in
-    :mod:`repro.sim.compile.cache`) serves every
-    :class:`PackedLaneBatch` of the same source.  Processes that demote
-    to the interpreter shim are stored as design process *indices* and
-    resolved against each batch's own elaboration.
-    """
-
-    def __init__(self, layout):
-        self.layout = layout
-        self.lanes = layout.lanes
-        self.metas = ()
-        self.meta_by_name = {}
-        self.mem_metas = ()
-        self.mem_by_name = {}
-        self.defer_ok = []
-        self.level_of = {}           # id(compile-time Process) -> order pos
-        self.comb_proc_indices = ()  # order pos -> design process index
-        # order pos -> ('packed', fn) | ('shim', pi)
-        #            | ('shim-deferred', pi, commit_order)
-        self.comb_runs = ()
-        self.seq_packed = {}         # design process index -> fn(sim, mask)
-        self.shim_seq = frozenset()  # seq indices running via the shim
-        self.initial_indices = ()
-        self.packed_processes = 0
-        self.shim_processes = 0
-        self.packer_demotions = {}   # design proc index -> reason
-
-
-def _build_metas(program, design):
-    layout = program.layout
-    metas = []
-    by_name = {}
-    defer = []
-    for idx, signal in enumerate(design.signals.values()):
-        layout.need(signal.width)
-        meta = _SigMeta(idx, signal.name, signal.width, signal.signed,
-                        signal.traced)
-        layout.need(signal.width + 1)      # nz() lane collapse in _commit
-        meta.pm = layout.Mr(signal.width)
-        metas.append(meta)
-        by_name[signal.name] = meta
-        defer.append(
-            not signal.edge_listeners
-            and all(sensitivity_complete(p)
-                    for p in signal.comb_listeners)
-        )
-    program.metas = tuple(metas)
-    program.meta_by_name = by_name
-    program.defer_ok = defer
-    mem_metas = []
-    mem_by_name = {}
-    for idx, memory in enumerate(design.memories.values()):
-        layout.need(memory.width + 1)  # mem reads share the guard bit
-        mm = _MemMeta(idx, memory.name, memory.width, memory.lo,
-                      memory.hi)
-        mem_metas.append(mm)
-        mem_by_name[memory.name] = mm
-    program.mem_metas = tuple(mem_metas)
-    program.mem_by_name = mem_by_name
-
-
-def _attach_listeners(program, design, order):
-    level_of = {id(p): i for i, p in enumerate(order)}
-    proc_index = {id(p): i for i, p in enumerate(design.processes)}
-    program.level_of = level_of
-    program.comb_proc_indices = tuple(proc_index[id(p)] for p in order)
-    for meta in program.metas:
-        signal = design.signals[meta.name]
-        meta.comb_dirty = tuple(sorted(
-            level_of[id(p)] for p in signal.comb_listeners
-            if id(p) in level_of
-        ))
-        meta.edges = tuple(
-            (edge, proc_index[id(p)])
-            for edge, p in signal.edge_listeners
-        )
-    for mm in program.mem_metas:
-        memory = design.memories[mm.name]
-        mm.comb_dirty = tuple(sorted(
-            level_of[id(p)] for p in memory.comb_listeners
-            if id(p) in level_of
-        ))
-
-
-def _collect_store_names(target, out):
-    """Base signal names written by an assignment target, in the
-    order the kernel's codegen visits them (concat parts in source
-    order, bit/part-selects through their base)."""
-    if isinstance(target, ast.Identifier):
-        out.append(target.name)
-    elif isinstance(target, (ast.Index, ast.PartSelect)):
-        _collect_store_names(target.base, out)
-    elif isinstance(target, ast.Concat):
-        for part in target.parts:
-            _collect_store_names(part, out)
-
-
-def _static_defer_order(program, design, process):
-    """Defer-eligible signals stored by a comb process, in first-store
-    statement order — the order the fused kernel commits its deferred
-    locals, which a shim-deferred activation must reproduce (commit
-    order decides clocked wake-up order for gated clocks)."""
-    commit_order = []
-    seen = set()
-    scope = process.scope
-    target_lookup = getattr(scope, "lookup_target", scope.lookup)
-    for stmt in process.body:
-        for node in stmt.walk():
-            if not isinstance(node, ast.Assign):
-                continue
-            names = []
-            _collect_store_names(node.target, names)
-            for name in names:
-                # Resolve through the write scope (connection
-                # processes alias the outer name otherwise).
-                entry = target_lookup(name)
-                signal_name = getattr(entry, "name", name)
-                meta = program.meta_by_name.get(signal_name)
-                if meta is None or meta.idx in seen:
-                    continue
-                if program.defer_ok[meta.idx]:
-                    seen.add(meta.idx)
-                    commit_order.append(meta.idx)
-    return tuple(commit_order)
-
-
-def _compile_with_stride(design, order, demoted, lanes, stride):
-    layout = _Layout(lanes, stride)
-    program = _LaneProgram(layout)
-    _build_metas(program, design)
-    _attach_listeners(program, design, order)
-
-    comb_runs = [None] * len(order)
-    shim_seq = set()
-    initial_indices = []
-    packed = 0
-    shimmed = 0
-    for index, process in enumerate(design.processes):
-        if process.kind == "initial":
-            initial_indices.append(index)
-            shimmed += 1
-            continue
-        if index in demoted:
-            shimmed += 1
-            if process.kind == "seq":
-                shim_seq.add(index)
-            else:
-                comb_runs[program.level_of[id(process)]] = ("shim", index)
-            continue
-        # The scalar kernel compiled this process; if the packer
-        # cannot lower it, run it per lane through the shim.  Seq
-        # bodies keep engine per-write semantics (identical to the
-        # kernel's exact committers); comb bodies run in deferral mode
-        # so the one-commit-per-signal event accounting still matches
-        # the fused kernel.
-        try:
-            fn = _ProcCompiler(program, process).compile_body()
-        except NotPackable as exc:
-            shimmed += 1
-            program.packer_demotions[index] = str(exc)
-            if process.kind == "seq":
-                shim_seq.add(index)
-            else:
-                comb_runs[program.level_of[id(process)]] = (
-                    "shim-deferred", index,
-                    _static_defer_order(program, design, process))
-            continue
-        packed += 1
-        if process.kind == "seq":
-            program.seq_packed[index] = fn
-        else:
-            comb_runs[program.level_of[id(process)]] = ("packed", fn)
-    program.comb_runs = tuple(comb_runs)
-    program.shim_seq = frozenset(shim_seq)
-    program.initial_indices = tuple(initial_indices)
-    program.packed_processes = packed
-    program.shim_processes = shimmed
-    return program
-
-
-def compile_lane_program(design, lanes):
-    """Compile ``design`` into an N-lane program.
-
-    Raises :class:`NotPackable` when the design cannot keep the lane
-    parity contract at all (``$time``/``$random``, unlevelizable comb
-    logic — the scalar compiled backend runs those under a different
-    scheduler); callers fall back to :class:`ScalarLaneBatch`.
-    Memories and signed signals pack: memories as per-word lane planes
-    (with per-word dynamic-signedness masks), signed signals through
-    per-lane sign-extension at widening read sites.  A kernel-compiled
-    process the packer cannot lower demotes *per process* to the
-    interpreter shim (``packer_demotions`` records the reasons),
-    keeping the rest of the design packed.
-    """
-    for process in design.processes:
-        if _uses_nonpackable_functions(process):
-            raise NotPackable("$time/$stime/$random in a process body")
-    order = levelize(design)
-    if order is None:
-        raise NotPackable("design is not levelizable")
-    bind, _ = get_kernel(design, order, trace=True, coverage=None)
-    kernel = bind(design)
-    demoted = set(kernel["demoted"])
-    max_width = max(
-        (s.width for s in design.signals.values()), default=1)
-    if design.memories:
-        max_width = max(max_width, max(
-            m.width for m in design.memories.values()))
-    stride = max(max_width + 2, 34)
-    while True:
-        try:
-            return _compile_with_stride(
-                design, order, demoted, lanes, stride)
-        except _StrideRetry as retry:
-            stride = max(retry.needed + 1, stride + 8)
-
-
-class _ShimNba:
-    """NBA list stand-in handed to ``_Executor``: tags each scheduled
-    store closure with the lane it belongs to."""
-
-    __slots__ = ("shim",)
-
-    def __init__(self, shim):
-        self.shim = shim
-
-    def append(self, fn):
-        shim = self.shim
-        shim.batch._nba.append((None, shim.lane, fn))
-
-
-class _LaneShim:
-    """A per-lane ``Simulator`` facade for interpreter-demoted and
-    ``initial`` processes.
-
-    Before an activation the lane's packed planes materialize into the
-    design's ``Signal.value`` slots; the executor then runs unmodified,
-    and every ``_write_signal`` lands back in the planes with full
-    engine semantics (resize, change check, event count, trace, comb
-    wake-up, edge scan)."""
-
-    def __init__(self, batch):
-        self.batch = batch
-        self.design = batch.design
-        self.lane = 0
-        self.time = 0
-        self.code_coverage = None
-        self._running = None
-        self._nba = _ShimNba(self)
-        self._defer = ()             # signal indices staging this run
-        self._staged = {}            # signal idx -> Signal
-
-    def materialize(self, lane):
-        batch = self.batch
-        shift = lane * batch._S
-        signals = batch._signals
-        B = batch.B
-        X = batch.X
-        for meta in batch.program.metas:
-            fm = meta.fm
-            signed = meta.signed
-            if signed and not (batch._signed_written[meta.idx]
-                               >> shift) & 1:
-                signed = False  # never written on this lane: unsigned
-            signals[meta.idx].value = Value(
-                (B[meta.idx] >> shift) & fm, meta.width,
-                (X[meta.idx] >> shift) & fm, signed)
-        for mm in batch.program.mem_metas:
-            memory = batch._mems[mm.idx]
-            MB = batch.MB[mm.idx]
-            MX = batch.MX[mm.idx]
-            MSg = batch.MSg[mm.idx]
-            fm = mm.fm
-            width = mm.width
-            words = memory.words
-            for w in range(len(words)):
-                words[w] = Value((MB[w] >> shift) & fm, width,
-                                 (MX[w] >> shift) & fm,
-                                 bool((MSg[w] >> shift) & 1))
-        self.lane = lane
-        self.time = (batch._tm >> shift) & batch._MS
-
-    def run(self, process, lane):
-        self.materialize(lane)
-        executor = _Executor(self, process)
-        previous, self._running = self._running, process
-        try:
-            for stmt in process.body:
-                executor.execute(stmt)
-        finally:
-            self._running = previous
-
-    def run_deferred(self, process, lane, commit_order):
-        """Activation for a packer-demoted (kernel-compiled) comb
-        process: defer-eligible stores stage in ``Signal.value`` and
-        commit once per signal at end of body, in the kernel's static
-        store order — so event counts and clocked wake-up order match
-        the scalar compiled backend exactly."""
-        self.materialize(lane)
-        self._defer = commit_order
-        self._staged = {}
-        executor = _Executor(self, process)
-        previous, self._running = self._running, process
-        try:
-            for stmt in process.body:
-                executor.execute(stmt)
-        finally:
-            self._running = previous
-            self._defer = ()
-        staged = self._staged
-        self._staged = {}
-        if not staged:
-            return
-        batch = self.batch
-        shift = lane * batch._S
-        mask = 1 << shift
-        pos = batch._pos_of_proc.get(id(process))
-        metas = batch.program.metas
-        for idx in commit_order:
-            signal = staged.get(idx)
-            if signal is None:
-                continue
-            value = signal.value
-            batch._commit(metas[idx], mask, value.bits << shift,
-                          value.xmask << shift, pos)
-
-    # -- Simulator facade used by _Executor ----------------------------------
-
-    def _write_signal(self, signal, value):
-        if value.width != signal.width or value.signed != signal.signed:
-            value = value.resize(signal.width, signal.signed)
-        batch = self.batch
-        lane = self.lane
-        meta = batch._meta_by_name[signal.name]
-        if meta.idx in self._defer:
-            # Deferral mode: stage in the signal slot (reads in the
-            # same activation see it); the commit happens at end of
-            # body in run_deferred.
-            signal.value = value
-            self._staged[meta.idx] = signal
-            return
-        shift = lane * batch._S
-        fm = meta.fm
-        old_bits = (batch.B[meta.idx] >> shift) & fm
-        old_x = (batch.X[meta.idx] >> shift) & fm
-        if value.bits == old_bits and value.xmask == old_x:
-            return
-        signal.value = value
-        batch.B[meta.idx] = (batch.B[meta.idx] & ~(fm << shift)) | \
-            (value.bits << shift)
-        batch.X[meta.idx] = (batch.X[meta.idx] & ~(fm << shift)) | \
-            (value.xmask << shift)
-        batch._ec += 1 << shift
-        if signal.signed:
-            batch._signed_written[meta.idx] |= 1 << shift
-        if batch.trace_enabled and meta.traced:
-            batch._trace_append(lane, meta, value)
-        if meta.comb_dirty:
-            exclude = batch._pos_of_proc.get(id(self._running))
-            dirty = batch._dirty
-            dirty_lanes = batch._dirty_lanes
-            lane_bit = 1 << shift
-            for pos in meta.comb_dirty:
-                if pos != exclude:
-                    dirty[pos] = 1
-                    dirty_lanes[pos] |= lane_bit
-        if meta.edges:
-            old_bit = None if (old_x & 1) else (old_bits & 1)
-            new_bit = None if (value.xmask & 1) else (value.bits & 1)
-            for edge, pi in meta.edges:
-                if (
-                    (edge == "posedge" and new_bit == 1 and old_bit != 1)
-                    or (edge == "negedge" and new_bit == 0
-                        and old_bit != 0)
-                    or edge == "anyedge"
-                ):
-                    batch._schedule_clocked(pi, 1 << shift)
-
-    def _notify_memory_write(self, memory):
-        """A shim-run process stored a word through ``Memory.write``:
-        land the lane's words back in the packed planes with engine
-        accounting (unconditional event bump + comb wake-up)."""
-        batch = self.batch
-        mm = batch._mem_by_name[memory.name]
-        shift = self.lane * batch._S
-        keep = ~(mm.fm << shift)
-        lane_bit = 1 << shift
-        MB = batch.MB[mm.idx]
-        MX = batch.MX[mm.idx]
-        MSg = batch.MSg[mm.idx]
-        for w, value in enumerate(memory.words):
-            MB[w] = (MB[w] & keep) | (value.bits << shift)
-            MX[w] = (MX[w] & keep) | (value.xmask << shift)
-            if value.signed:
-                MSg[w] |= lane_bit
-            else:
-                MSg[w] &= ~lane_bit
-        batch._ec += lane_bit
-        if mm.comb_dirty:
-            exclude = batch._pos_of_proc.get(id(self._running))
-            dirty = batch._dirty
-            dirty_lanes = batch._dirty_lanes
-            for pos in mm.comb_dirty:
-                if pos != exclude:
-                    dirty[pos] = 1
-                    dirty_lanes[pos] |= lane_bit
-
-
-class PackedLaneBatch:
-    """N independent simulations advancing through one packed kernel.
-
-    The public surface mirrors :class:`repro.sim.engine.Simulator` with
-    an explicit ``lane`` coordinate: ``poke(name, lane, value)``,
-    ``get(name, lane)``, ``tick(clock, cycles)`` (all active lanes),
-    per-lane ``times``/``event_counts``/``traces`` and an
-    ``active_mask`` for early stop.  ``reader(name)``/``poker(name)``
-    return per-port closures with no dict lookups on the hot path —
-    the "fused scoreboard sampling" half of lane packing.
-    """
-
-    packed = True
-    backend_name = "lanes"
-    code_coverage = None
-    demotion = None
-    demotion_reasons = ()
-
-    def __init__(self, design, program, trace=True):
-        self.design = design
-        self.program = program
-        layout = program.layout
-        self.lanes = layout.lanes
-        self._S = layout.S
-        self._L1 = layout.L1
-        self.trace_enabled = trace
-        self._meta_by_name = program.meta_by_name
-        self._signals = [
-            design.signals[meta.name] for meta in program.metas]
-        self.B = []
-        self.X = []
-        for meta, signal in zip(program.metas, self._signals):
-            value = signal.value
-            self.B.append(layout.replicate(value.bits, meta.width))
-            self.X.append(layout.replicate(value.xmask, meta.width))
-        # Memories: per-word packed planes.  Like signal planes these
-        # start as every lane holding the scalar design's current word
-        # (all-x unsigned unless an initial block ran before packing).
-        self._mems = [design.memories[mm.name]
-                      for mm in program.mem_metas]
-        self._mem_by_name = program.mem_by_name
-        self.MB = []
-        self.MX = []
-        self.MSg = []
-        L1 = layout.L1
-        for mm, memory in zip(program.mem_metas, self._mems):
-            self.MB.append([layout.replicate(w.bits, mm.width)
-                            for w in memory.words])
-            self.MX.append([layout.replicate(w.xmask, mm.width)
-                            for w in memory.words])
-            self.MSg.append([L1 if w.signed else 0
-                             for w in memory.words])
-        # Per-lane time and event-count live as packed planes too: a
-        # commit bumps every changed lane's count with ONE bigint add
-        # (``_ec += changed``), and advancing time is ``_tm += mask *
-        # amount`` — no per-lane Python loop on the hot path.  Fields
-        # are the full stride wide (no SWAR guard needed: these are
-        # only ever read back per lane).
-        self._MS = (1 << self._S) - 1
-        self._tm = 0
-        self._ec = 0
-        # The scalar engines' stored values start *unsigned*
-        # (Signal init is Value.all_x) and only take the declared
-        # signedness on their first changed write — so a read of a
-        # never-written signed reg zero-extends.  Track which lanes
-        # have written each signed signal; packed commits, shim
-        # writes and pokes all keep these masks current, and widening
-        # packed reads sign-extend exactly the recorded lanes.
-        self._signed_written = {
-            meta.idx: 0 for meta in program.metas if meta.signed}
-        self.active_mask = self._L1
-        self.traces = [
-            {name: [(0, signal.value)]
-             for name, signal in design.signals.items()}
-            if trace else {}
-            for _ in range(self.lanes)
-        ]
-        self._dirty = bytearray(len(program.comb_runs))
-        # Per-level lane masks: which lanes' inputs changed.  A comb
-        # activation only covers those lanes — re-running a lane whose
-        # inputs did not change would emit glitch events (and trace
-        # entries) the scalar backend never sees.
-        self._dirty_lanes = [0] * len(program.comb_runs)
-        self._clocked = {}
-        self._nba = []
-        self._pos_of_proc = {
-            id(design.processes[pi]): pos
-            for pos, pi in enumerate(program.comb_proc_indices)
-        }
-        self._shim = _LaneShim(self)
-        processes = design.processes
-        runs = []
-        for entry in program.comb_runs:
-            if entry[0] == "packed":
-                runs.append(entry[1])
-            elif entry[0] == "shim":
-                runs.append(self._make_shim_comb(processes[entry[1]]))
-            else:  # shim-deferred (kernel-compiled, packer-demoted)
-                runs.append(self._make_shim_comb_deferred(
-                    processes[entry[1]], entry[2]))
-            # ruff: noqa (closure factory keeps the loop variable)
-        self._comb_runs = tuple(runs)
-        self._seq_runs = dict(program.seq_packed)
-        self._readers = {}
-        self._pokers = {}
-        self._packed_pokers = {}
-        self._tick_meta = {}
-        self._run_initial()
-
-    def _make_shim_comb(self, process):
-        shim = self._shim
-        S = self._S
-
-        def run(sim, mask, _shim=shim, _process=process, _S=S):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                _shim.run(_process, (low.bit_length() - 1) // _S)
-        return run
-
-    def _make_shim_comb_deferred(self, process, commit_order):
-        shim = self._shim
-        S = self._S
-
-        def run(sim, mask, _shim=shim, _process=process,
-                _order=commit_order, _S=S):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                _shim.run_deferred(_process, (low.bit_length() - 1) // _S,
-                                   _order)
-        return run
-
-    def _run_initial(self):
-        design = self.design
-        program = self.program
-        for pi in program.initial_indices:
-            process = design.processes[pi]
-            for lane in range(self.lanes):
-                self._shim.run(process, lane)
-        L1 = self._L1
-        for pos in range(len(self._comb_runs)):
-            self._dirty[pos] = 1
-            self._dirty_lanes[pos] = L1
-        self.settle()
-
-    # -- scheduling core -----------------------------------------------------
-
-    def _schedule_clocked(self, proc_index, lane_mask):
-        pending = self._clocked.get(proc_index)
-        if pending is None:
-            self._clocked[proc_index] = lane_mask
-        else:
-            self._clocked[proc_index] = pending | lane_mask
-
-    def _commit(self, meta, mask, new_bits, new_x, exclude=None, fm=None):
-        idx = meta.idx
-        B = self.B
-        X = self.X
-        old_bits = B[idx]
-        old_x = X[idx]
-        # ``fm`` narrows the write to a constant bit/part-select field
-        # (already shifted into place); ``None`` writes the whole signal.
-        me = mask * (meta.fm if fm is None else fm)
-        nb = (old_bits & ~me) | (new_bits & me)
-        nx = (old_x & ~me) | (new_x & me)
-        diff = (nb ^ old_bits) | (nx ^ old_x)
-        if not diff:
-            return
-        W = meta.width
-        L1 = self._L1
-        # Lane-collapse: lanes whose field changed (guard bit carries).
-        changed = ((diff + meta.pm) >> W) & L1
-        B[idx] = nb
-        X[idx] = nx
-        self._ec += changed
-        if meta.signed:
-            self._signed_written[idx] |= changed
-        if self.trace_enabled and meta.traced:
-            S = self._S
-            fm = meta.fm
-            signed = meta.signed
-            remaining = changed
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                shift = low.bit_length() - 1
-                self._trace_append(shift // S, meta, Value(
-                    (nb >> shift) & fm, W, (nx >> shift) & fm, signed))
-        if meta.comb_dirty:
-            dirty = self._dirty
-            dirty_lanes = self._dirty_lanes
-            for pos in meta.comb_dirty:
-                if pos != exclude:
-                    dirty[pos] = 1
-                    dirty_lanes[pos] |= changed
-        if meta.edges:
-            ob0 = old_bits & L1
-            ox0 = old_x & L1
-            nb0 = nb & L1
-            nx0 = nx & L1
-            for edge, pi in meta.edges:
-                if edge == "posedge":
-                    # new bit is a known 1, old bit was not a known 1
-                    fire = changed & (nb0 & (L1 ^ nx0)) & \
-                        (L1 ^ (ob0 & (L1 ^ ox0)))
-                elif edge == "negedge":
-                    fire = changed & ((L1 ^ nb0) & (L1 ^ nx0)) & \
-                        (L1 ^ ((L1 ^ ob0) & (L1 ^ ox0)))
-                else:
-                    fire = changed
-                if fire:
-                    self._schedule_clocked(pi, fire)
-
-    def _mem_commit_word(self, mm, w, mask, vb, vx, sw, exclude=None):
-        """Constant-address memory store for the ``mask`` lanes.
-
-        ``w`` is ``None`` for a compile-time out-of-range address: the
-        store drops but (matching ``_mem_write``) the event count still
-        bumps and comb listeners still wake — memory writes carry no
-        change check."""
-        if w is not None:
-            me = mask * mm.fm
-            mi = mm.idx
-            MB = self.MB[mi]
-            MX = self.MX[mi]
-            MSg = self.MSg[mi]
-            MB[w] = (MB[w] & ~me) | (vb & me)
-            MX[w] = (MX[w] & ~me) | (vx & me)
-            MSg[w] = (MSg[w] & ~mask) | (sw & mask)
-        self._ec += mask
-        if mm.comb_dirty:
-            dirty = self._dirty
-            dirty_lanes = self._dirty_lanes
-            for pos in mm.comb_dirty:
-                if pos != exclude:
-                    dirty[pos] = 1
-                    dirty_lanes[pos] |= mask
-
-    def _mem_commit_lanes(self, mm, mask, ib, ix, ifm, vb, vx, sw,
-                          exclude=None):
-        """Runtime-address memory store: each lane addresses its own
-        word; x or out-of-range lanes drop the store (but still count
-        the write event, like the engines)."""
-        mi = mm.idx
-        MB = self.MB[mi]
-        MX = self.MX[mi]
-        MSg = self.MSg[mi]
-        fm = mm.fm
-        lo = mm.lo
-        hi = mm.hi
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            shift = low.bit_length() - 1
-            if (ix >> shift) & ifm:
-                continue
-            a = (ib >> shift) & ifm
-            if a < lo or a > hi:
-                continue
-            w = a - lo
-            me = fm << shift
-            MB[w] = (MB[w] & ~me) | (vb & me)
-            MX[w] = (MX[w] & ~me) | (vx & me)
-            MSg[w] = (MSg[w] & ~low) | (sw & low)
-        self._ec += mask
-        if mm.comb_dirty:
-            dirty = self._dirty
-            dirty_lanes = self._dirty_lanes
-            for pos in mm.comb_dirty:
-                if pos != exclude:
-                    dirty[pos] = 1
-                    dirty_lanes[pos] |= mask
-
-    def _trace_append(self, lane, meta, value):
-        time = (self._tm >> (lane * self._S)) & self._MS
-        history = self.traces[lane].get(meta.name)
-        if history is None:
-            history = self.traces[lane][meta.name] = []
-        if history and history[-1][0] == time:
-            if len(history) > 1 and history[-2][1] == value:
-                history.pop()
-            else:
-                history[-1] = (time, value)
-        else:
-            history.append((time, value))
-
-    def settle(self):
-        dirty = self._dirty
-        dirty_lanes = self._dirty_lanes
-        runs = self._comb_runs
-        deltas = 0
-        while 1 in dirty or self._clocked or self._nba:
-            while 1 in dirty:
-                pos = dirty.index(1)
-                dirty[pos] = 0
-                lane_mask = dirty_lanes[pos]
-                dirty_lanes[pos] = 0
-                deltas += 1
-                if deltas > _MAX_DELTAS:
-                    raise SimulationError(
-                        "maximum delta cycles exceeded (lane batch; "
-                        "combinational loop?)")
-                runs[pos](self, lane_mask)
-            if self._clocked:
-                batch = self._clocked
-                self._clocked = {}
-                seq_runs = self._seq_runs
-                processes = self.design.processes
-                shim = self._shim
-                for pi, lane_mask in batch.items():
-                    fn = seq_runs.get(pi)
-                    if fn is not None:
-                        fn(self, lane_mask)
-                        continue
-                    process = processes[pi]
-                    remaining = lane_mask
-                    while remaining:
-                        low = remaining & -remaining
-                        remaining ^= low
-                        shim.run(process, (low.bit_length() - 1)
-                                 // self._S)
-            if 1 not in dirty and self._nba:
-                entries = self._nba
-                self._nba = []
-                shim = self._shim
-                for entry in entries:
-                    head = entry[0]
-                    if head is None:
-                        _, lane, fn = entry
-                        shim.materialize(lane)
-                        shim._running = None
-                        fn()
-                    elif head.__class__ is str:
-                        if head == "mem":
-                            _, mm, w, mask, vb, vx, sw = entry
-                            self._mem_commit_word(mm, w, mask, vb, vx,
-                                                  sw)
-                        else:  # "mem-rt"
-                            _, mm, addr, mask, vb, vx, sw = entry
-                            ib, ix, ifm = addr
-                            self._mem_commit_lanes(mm, mask, ib, ix,
-                                                   ifm, vb, vx, sw)
-                    else:
-                        self._commit(head, entry[1], entry[2], entry[3],
-                                     None, entry[4])
-
-    # -- stimulus ------------------------------------------------------------
-
-    def poker(self, name):
-        """A per-port poke closure: ``fn(lane, value)`` with no name
-        lookup on the hot path."""
-        fn = self._pokers.get(name)
-        if fn is None:
-            meta = self._meta_by_name[name]
-            S = self._S
-            commit = self._commit
-            fm = meta.fm
-            width = meta.width
-            signed = meta.signed
-
-            def poke(lane, value, _meta=meta, _S=S, _fm=fm,
-                     _width=width, _signed=signed, _commit=commit):
-                if isinstance(value, int):
-                    bits = value & _fm
-                    xm = 0
-                else:
-                    if value.width != _width or value.signed != _signed:
-                        value = value.resize(_width, _signed)
-                    bits = value.bits
-                    xm = value.xmask
-                shift = lane * _S
-                _commit(_meta, 1 << shift, bits << shift, xm << shift)
-            fn = self._pokers[name] = poke
-        return fn
-
-    def packed_poker(self, name):
-        """A fused per-port poke: ``fn(values)`` drives every lane in
-        ONE plane commit.  ``values`` is a per-lane sequence (ints or
-        :class:`Value`); ``None`` entries leave that lane undriven —
-        the packed half of de-interleaved stimulus."""
-        fn = self._packed_pokers.get(name)
-        if fn is None:
-            meta = self._meta_by_name[name]
-            S = self._S
-            commit = self._commit
-            fm = meta.fm
-            width = meta.width
-            signed = meta.signed
-
-            def poke_all(values, _meta=meta, _S=S, _fm=fm,
-                         _width=width, _signed=signed, _commit=commit):
-                bits = 0
-                xm = 0
-                mask = 0
-                shift = 0
-                for value in values:
-                    if value is None:
-                        shift += _S
-                        continue
-                    if isinstance(value, int):
-                        bits |= (value & _fm) << shift
-                    else:
-                        if (value.width != _width
-                                or value.signed != _signed):
-                            value = value.resize(_width, _signed)
-                        bits |= value.bits << shift
-                        xm |= value.xmask << shift
-                    mask |= 1 << shift
-                    shift += _S
-                if mask:
-                    _commit(_meta, mask, bits, xm)
-            fn = self._packed_pokers[name] = poke_all
-        return fn
-
-    def poke(self, name, lane, value):
-        self.poker(name)(lane, value)
-
-    def set(self, name, lane, value):
-        self.poker(name)(lane, value)
-        self.settle()
-
-    def reader(self, name):
-        """A per-port sample closure: ``fn(lane) -> Value`` extracting
-        the lane's field straight from the packed planes (fused
-        scoreboard sampling)."""
-        fn = self._readers.get(name)
-        if fn is None:
-            meta = self._meta_by_name[name]
-            S = self._S
-            fm = meta.fm
-            width = meta.width
-            idx = meta.idx
-            B = self.B
-            X = self.X
-            memo = {}
-
-            if meta.signed:
-                # The stored value's dynamic signedness is per lane
-                # (unsigned until the lane's first changed write), so
-                # it joins the memo key.
-                sw = self._signed_written
-
-                def read(lane, _idx=idx, _S=S, _fm=fm, _width=width,
-                         _B=B, _X=X, _sw=sw, _memo=memo):
-                    shift = lane * _S
-                    key = ((_B[_idx] >> shift) & _fm,
-                           (_X[_idx] >> shift) & _fm,
-                           (_sw[_idx] >> shift) & 1)
-                    value = _memo.get(key)
-                    if value is None:
-                        value = _memo[key] = Value(
-                            key[0], _width, key[1], bool(key[2]))
-                    return value
-            else:
-                def read(lane, _idx=idx, _S=S, _fm=fm, _width=width,
-                         _B=B, _X=X, _memo=memo):
-                    shift = lane * _S
-                    key = ((_B[_idx] >> shift) & _fm,
-                           (_X[_idx] >> shift) & _fm)
-                    value = _memo.get(key)
-                    if value is None:
-                        value = _memo[key] = Value(
-                            key[0], _width, key[1], False)
-                    return value
-            fn = self._readers[name] = read
-        return fn
-
-    def get(self, name, lane):
-        return self.reader(name)(lane)
-
-    def peek_memory(self, name, address, lane):
-        """One lane's stored word (engine ``peek_memory`` semantics:
-        out-of-range reads are all-x)."""
-        mm = self._mem_by_name.get(name)
-        if mm is None:
-            raise SimulationError(f"no memory named '{name}'")
-        if address is None or address < mm.lo or address > mm.hi:
-            return Value.all_x(mm.width)
-        w = address - mm.lo
-        shift = lane * self._S
-        return Value((self.MB[mm.idx][w] >> shift) & mm.fm, mm.width,
-                     (self.MX[mm.idx][w] >> shift) & mm.fm,
-                     bool((self.MSg[mm.idx][w] >> shift) & 1))
-
-    def signal_width(self, name):
-        return self._meta_by_name[name].width
-
-    def tick(self, clock="clk", cycles=1, half_period=5, lanes=None):
-        if lanes is None:
-            mask = self.active_mask
-        else:
-            mask = 0
-            for lane in lanes:
-                mask |= 1 << (lane * self._S)
-        if not mask:
-            return
-        cached = self._tick_meta.get(clock)
-        if cached is None:
-            meta = self._meta_by_name[clock]
-            signal = self.design.signals[meta.name]
-            wake_on_fall = bool(signal.comb_listeners) or any(
-                edge != "posedge" for edge, _ in signal.edge_listeners)
-            cached = self._tick_meta[clock] = (meta, wake_on_fall)
-        meta, wake_on_fall = cached
-        for _ in range(cycles):
-            self._commit(meta, mask, mask, 0)
-            self.settle()
-            self._advance(mask, half_period)
-            self._commit(meta, mask, 0, 0)
-            if wake_on_fall:
-                self.settle()
-            self._advance(mask, half_period)
-
-    def _advance(self, mask, amount):
-        self._tm += mask * amount
-
-    def step_time(self, amount, lanes=None):
-        if lanes is None:
-            mask = self.active_mask
-        else:
-            mask = 0
-            for lane in lanes:
-                mask |= 1 << (lane * self._S)
-        self._advance(mask, amount)
-
-    def input_names(self):
-        return self.design.port_names("input")
-
-    def output_names(self):
-        return self.design.port_names("output")
-
-    def lane_time(self, lane):
-        return (self._tm >> (lane * self._S)) & self._MS
-
-    def lane_event_count(self, lane):
-        return (self._ec >> (lane * self._S)) & self._MS
-
-    # -- lane lifecycle ------------------------------------------------------
-
-    def lane_bit(self, lane):
-        return 1 << (lane * self._S)
-
-    def lane_active(self, lane):
-        return bool(self.active_mask & self.lane_bit(lane))
-
-    def stop_lane(self, lane):
-        """Early stop: the lane keeps its state but receives no further
-        stimulus from broadcast ``tick``/``step_time`` calls."""
-        self.active_mask &= ~self.lane_bit(lane)
-
-    # -- per-lane views of the packed planes ---------------------------------
-
-    @property
-    def times(self):
-        S, MS, tm = self._S, self._MS, self._tm
-        return [(tm >> (lane * S)) & MS for lane in range(self.lanes)]
-
-    @property
-    def event_counts(self):
-        S, MS, ec = self._S, self._MS, self._ec
-        return [(ec >> (lane * S)) & MS for lane in range(self.lanes)]
-
-
-class ScalarLaneBatch:
-    """Always-correct lane batch: N independent scalar compiled
-    simulators behind the :class:`PackedLaneBatch` surface.
-
-    Used when the design is not lane-packable; per-lane speed equals
-    the scalar compiled backend, so lane mode never regresses."""
-
-    packed = False
-    backend_name = "lanes-scalar"
-    code_coverage = None
-
-    def __init__(self, source, lanes, trace=True, top=None, demotion=None,
-                 demotion_reasons=None):
-        from repro.sim.compile.engine import CompiledSimulator
-
-        self.lanes = lanes
-        self.demotion = demotion
-        # The full deduped reason set behind the demotion (the
-        # ``demotion`` string is a human-readable summary of it); the
-        # campaign's structured demotion histogram counts every entry.
-        if demotion_reasons:
-            self.demotion_reasons = tuple(demotion_reasons)
-        else:
-            self.demotion_reasons = (demotion,) if demotion else ()
-        self.sims = [
-            CompiledSimulator(elaborate(source, top=top), trace=trace)
-            for _ in range(lanes)
-        ]
-        self.trace_enabled = trace
-        self._active = [True] * lanes
-        self._readers = {}
-        self._pokers = {}
-        self._packed_pokers = {}
-
-    @property
-    def times(self):
-        return [sim.time for sim in self.sims]
-
-    @property
-    def event_counts(self):
-        return [sim.event_count for sim in self.sims]
-
-    @property
-    def traces(self):
-        return [sim.trace for sim in self.sims]
-
-    def poker(self, name):
-        fn = self._pokers.get(name)
-        if fn is None:
-            sims = self.sims
-
-            def poke(lane, value, _sims=sims, _name=name):
-                _sims[lane].poke(_name, value)
-            fn = self._pokers[name] = poke
-        return fn
-
-    def packed_poker(self, name):
-        fn = self._packed_pokers.get(name)
-        if fn is None:
-            sims = self.sims
-
-            def poke_all(values, _sims=sims, _name=name):
-                for lane, value in enumerate(values):
-                    if value is not None:
-                        _sims[lane].poke(_name, value)
-            fn = self._packed_pokers[name] = poke_all
-        return fn
-
-    def poke(self, name, lane, value):
-        self.sims[lane].poke(name, value)
-
-    def set(self, name, lane, value):
-        self.sims[lane].set(name, value)
-
-    def reader(self, name):
-        fn = self._readers.get(name)
-        if fn is None:
-            sims = self.sims
-
-            def read(lane, _sims=sims, _name=name):
-                return _sims[lane].get(_name)
-            fn = self._readers[name] = read
-        return fn
-
-    def get(self, name, lane):
-        return self.sims[lane].get(name)
-
-    def peek_memory(self, name, address, lane):
-        return self.sims[lane].peek_memory(name, address)
-
-    def signal_width(self, name):
-        return self.sims[0]._find_signal(name).width
-
-    def settle(self):
-        for sim in self.sims:
-            sim.settle()
-
-    def tick(self, clock="clk", cycles=1, half_period=5, lanes=None):
-        for lane, sim in enumerate(self.sims):
-            if lanes is None and not self._active[lane]:
-                continue
-            if lanes is not None and lane not in lanes:
-                continue
-            sim.tick(clock, cycles, half_period)
-
-    def step_time(self, amount, lanes=None):
-        for lane, sim in enumerate(self.sims):
-            if lanes is None and not self._active[lane]:
-                continue
-            if lanes is not None and lane not in lanes:
-                continue
-            sim.time += amount
-
-    def input_names(self):
-        return self.sims[0].input_names()
-
-    def output_names(self):
-        return self.sims[0].output_names()
-
-    def lane_time(self, lane):
-        return self.sims[lane].time
-
-    def lane_event_count(self, lane):
-        return self.sims[lane].event_count
-
-    def lane_active(self, lane):
-        return self._active[lane]
-
-    def stop_lane(self, lane):
-        self._active[lane] = False
-
-
-def default_lanes(require=False):
-    """Lane count from ``REPRO_SIM_LANES``.
-
-    ``require=True`` (explicit ``--lanes auto``) insists the variable
-    is set; an unset variable then raises :class:`ValueError` instead
-    of silently serializing the campaign.  Either way, a variable that
-    *is* set must hold a positive integer — a typo'd value is an
-    error, never a silent ``1``.
-    """
-    import os
-
-    raw = os.environ.get("REPRO_SIM_LANES")
-    if raw is None:
-        if require:
-            raise ValueError(
-                "--lanes auto: REPRO_SIM_LANES is not set; export "
-                "REPRO_SIM_LANES=<N> or pass --lanes N explicitly"
-            )
-        return 1
-    try:
-        lanes = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"--lanes auto: REPRO_SIM_LANES={raw!r} is not an "
-            f"integer; export REPRO_SIM_LANES=<N> or pass --lanes N"
-        ) from None
-    if lanes < 1:
-        raise ValueError(
-            f"--lanes auto: REPRO_SIM_LANES={raw!r} must be a "
-            f"positive integer"
-        )
-    return lanes
-
-
-def make_lane_batch(source, lanes, trace=True, top=None,
-                    force_packed=False):
-    """Build an N-lane batch for ``source``.
-
-    Returns a :class:`PackedLaneBatch` when the design packs, else a
-    :class:`ScalarLaneBatch`; both expose the same lane API, so
-    callers never branch on packability (inspect ``.packed`` for
-    reporting, ``.demotion`` for the reason).
-
-    Policy: a design whose program carries *per-process* packer
-    demotions also falls back to the scalar batch — those processes
-    compile into the flat scalar kernel, so running them through the
-    per-lane interpreter shim is strictly slower than N scalar
-    simulators.  ``force_packed=True`` overrides that (the parity
-    oracle uses it to keep the shim paths under differential test).
-    """
-    from repro.sim.compile import cache
-
-    design = elaborate(source, top=top)
-    program = cache.get_lane_program(design, lanes)
-    if program is None:
-        return ScalarLaneBatch(
-            source, lanes, trace=trace, top=top,
-            demotion=cache.lane_demotion_reason(design, lanes))
-    if program.packer_demotions and not force_packed:
-        reasons = sorted(set(program.packer_demotions.values()))
-        return ScalarLaneBatch(
-            source, lanes, trace=trace, top=top,
-            demotion="per-process shim would regress: "
-                     + "; ".join(reasons),
-            demotion_reasons=reasons)
-    return PackedLaneBatch(design, program, trace=trace)
+from repro.sim.compile.cache import get_kernel  # noqa: F401
+from repro.sim.elaborate import elaborate  # noqa: F401

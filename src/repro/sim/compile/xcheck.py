@@ -238,116 +238,3 @@ class XCheckSimulator:
             pass  # capture is best-effort; the divergence must surface
         raise exc
 
-
-# -- lane-vs-scalar parity ----------------------------------------------------
-
-def _lane_perturb(bits, xmask, width, lane, salt):
-    """Deterministic per-lane variation of a poked value.
-
-    Lane 0 replays the original stimulus; every other lane XORs the
-    defined bits with a seeded pattern so the lanes genuinely diverge
-    (x-bits are left alone — ``Value`` clears them anyway)."""
-    if lane == 0 or width == 0:
-        return bits
-    import random
-
-    pattern = random.Random(
-        f"repro-lane-parity:{lane}:{salt}"
-    ).getrandbits(width)
-    mask = (1 << width) - 1
-    return (bits ^ pattern) & mask & ~xmask
-
-
-def _compare_lane(batch, scalar, lane, context):
-    """One lane of the batch against its dedicated scalar simulator."""
-    if batch.times[lane] != scalar.time:
-        raise XCheckDivergence(
-            f"lane-parity: time diverged after {context} on lane "
-            f"{lane}: packed={batch.times[lane]} scalar={scalar.time}"
-        )
-    for name in scalar.design.signals:
-        a = batch.get(name, lane)
-        b = scalar.get(name)
-        if a != b or a.xmask != b.xmask:
-            raise XCheckDivergence(
-                f"lane-parity: diverged after {context} at "
-                f"t={scalar.time}: signal '{name}' lane {lane} "
-                f"packed={a!r} scalar={b!r}"
-            )
-    for name, memory in scalar.design.memories.items():
-        for address in range(memory.lo, memory.hi + 1):
-            a = batch.peek_memory(name, address, lane)
-            b = scalar.peek_memory(name, address)
-            if a != b or a.xmask != b.xmask or a.signed != b.signed:
-                raise XCheckDivergence(
-                    f"lane-parity: diverged after {context} at "
-                    f"t={scalar.time}: memory '{name}[{address}]' "
-                    f"lane {lane} packed={a!r} scalar={b!r}"
-                )
-    if batch.event_counts[lane] != scalar.event_count:
-        raise XCheckDivergence(
-            f"lane-parity: event count diverged after {context} on "
-            f"lane {lane}: packed={batch.event_counts[lane]} "
-            f"scalar={scalar.event_count}"
-        )
-
-
-def run_lane_parity(source, ops, lanes=4):
-    """Drive a lane batch and ``lanes`` scalar compiled simulators in
-    lockstep through an oracle op list; raise :class:`XCheckDivergence`
-    on the first per-lane state, time, event-count, or trace mismatch.
-
-    Lane 0 replays ``ops`` verbatim; lanes 1.. replay a deterministic
-    per-lane perturbation of every poke so the lanes exercise genuinely
-    independent stimulus.  Returns ``True`` when the design actually
-    ran packed, ``False`` when lane codegen demoted it to the scalar
-    fallback batch (the check then degrades to an API smoke test).
-    """
-    from repro.sim.compile.lanes import make_lane_batch
-
-    # force_packed: keep the per-process shim paths under differential
-    # test even though production batches prefer the scalar fallback.
-    batch = make_lane_batch(source, lanes, trace=True, force_packed=True)
-    scalars = [
-        CompiledSimulator(elaborate(source), trace=True)
-        for _ in range(lanes)
-    ]
-    for index, op in enumerate(ops):
-        if op[0] == "poke":
-            _, name, bits, xmask = op
-            width = scalars[0].signal_width(name)
-            for lane in range(lanes):
-                lane_bits = _lane_perturb(bits, xmask, width, lane, index)
-                value = Value(lane_bits, width, xmask)
-                batch.poke(name, lane, value)
-                scalars[lane].poke(name, value)
-        elif op[0] == "tick":
-            batch.tick()
-            for scalar in scalars:
-                scalar.tick()
-            for lane in range(lanes):
-                _compare_lane(batch, scalars[lane], lane,
-                              f"op[{index}] tick")
-        elif op[0] == "settle":
-            batch.settle()
-            batch.step_time(10)
-            for scalar in scalars:
-                scalar.settle()
-                scalar.step_time(10)
-            for lane in range(lanes):
-                _compare_lane(batch, scalars[lane], lane,
-                              f"op[{index}] settle")
-        else:
-            raise ValueError(f"unknown stimulus op {op[0]!r}")
-    for lane in range(lanes):
-        _compare_lane(batch, scalars[lane], lane, "final state")
-        if batch.traces[lane] != scalars[lane].trace:
-            diff = sorted(
-                name for name in scalars[lane].trace
-                if batch.traces[lane].get(name) != scalars[lane].trace[name]
-            )
-            raise XCheckDivergence(
-                f"lane-parity: trace diverged on lane {lane}: "
-                f"signals {diff[:8]}"
-            )
-    return batch.packed

@@ -160,25 +160,6 @@ class TestVcdRoundTrip:
         for name, width in parsed["widths"].items():
             assert simulator.signal_width(name) == width
 
-    def test_round_trip_lane_demoted(self):
-        """Shape-misaligned sequences force the lane runner's scalar
-        demotion; the demoted lane's trace must still round-trip."""
-        from repro.sim.vcd import parse_vcd
-        from repro.uvm.lanes import run_uvm_test_lanes
-
-        bench = get_module("counter_12")
-        sequences = [list(make_hr_sequence(bench, seed=s))
-                     for s in (0, 1)]
-        sequences[1][0].hold_cycles += 1  # break lane alignment
-        results, info = run_uvm_test_lanes(
-            bench.source, sequences, bench.protocol, bench.model,
-            bench.compare_signals,
-        )
-        assert not info["packed"]
-        simulator = results[0].simulator
-        parsed = parse_vcd(dump_simulator(simulator))
-        assert _canon(parsed["trace"]) == _canon(simulator.trace)
-
     def test_internal_fsm_state_is_probed(self):
         """DUT-internal state registers (not just compare ports) land
         in the dump, declared as regs."""

@@ -4,13 +4,15 @@ Covers the fault-injection harness itself (plan scoping, budget
 claims, site/identity matching), corrupt-cache quarantine, the
 per-unit wall-clock alarm, retry/backoff and poison-unit quarantine
 on both the serial and pool paths, scheduler-side deadline reclaim of
-wedged workers, lane-group partial-landing resume, graceful
+wedged workers, shared-cache resume after a pool crash, failed cache
+writes, the scheduler's one-terminal-state-per-unit property, graceful
 interrupts, and the CLI exit codes that surface all of it.
 
 Pool tests are marked ``campaign`` (they spawn worker processes) like
 the rest of the parallel-runner suite.
 """
 
+import collections
 import json
 import os
 import signal
@@ -18,7 +20,6 @@ import time
 
 import pytest
 
-from repro.errgen.generator import generate_dataset
 from repro.obs.metrics import GLOBAL as global_metrics
 from repro.runner import (
     CampaignInterrupted,
@@ -26,11 +27,10 @@ from repro.runner import (
     FaultPolicy,
     ResultCache,
     UnitTimeout,
-    expand_grid,
 )
 from repro.runner import faultinject, faults
 from repro.runner.faultinject import InjectedFault
-from repro.runner.grid import WorkUnit
+from repro.runner.report import ProgressReporter
 
 
 # -- toy units (module-level for pool picklability) --------------------------
@@ -401,15 +401,16 @@ class TestPoolFaults:
         assert runner.fault_stats["worker_deaths"] >= 2
 
 
-# -- lane-group partial landing ----------------------------------------------
+# -- shared-cache landing after a pool crash ---------------------------------
 
 class _LateLandingCache(ResultCache):
-    """Simulates a sibling shard landing one member's record mid-run:
+    """Simulates a sibling shard landing one unit's record mid-run:
     the first read of ``late_key`` misses; any read after that (the
     post-crash cache recheck) finds the record on disk."""
 
     def __init__(self, cache_dir, late_key, late_record):
-        super().__init__(cache_dir)
+        super().__init__(cache_dir, subdir="toys", encode=dict,
+                         decode=dict, schema=1)
         self._late_key = late_key
         self._late_record = late_record
         self._late_reads = 0
@@ -430,38 +431,25 @@ class _LateLandingCache(ResultCache):
 
 
 @pytest.mark.campaign
-def test_lane_group_partial_landing_reruns_only_missing_members(
+def test_crash_suspect_landed_by_sibling_shard_resolves_from_cache(
         tmp_path):
-    """A lane group whose worker dies after one member's record landed
-    must re-run only the missing members, bit-identically (satellite:
-    group re-split on partial landing)."""
-    from repro.lint.linter import Linter
+    """A unit caught in flight by a sibling's worker crash, whose
+    record another shard landed in the shared cache meanwhile, must
+    resolve from the cache and never re-run."""
+    units = toys(3)
+    reference = CampaignRunner(jobs=1, executor=run_toy).run(units)
 
-    instance = next(
-        inst for inst in generate_dataset(seed=0, per_operator=1,
-                                          target=None,
-                                          modules=["counter_12"])
-        if not Linter().lint(inst.buggy_source).errors
-    )
-    units = [
-        WorkUnit(index=i, instance=instance, method="uvllm", attempts=1,
-                 config_overrides=(("hr_seed", i),), backend="compiled")
-        for i in range(3)
-    ]
-    assert len({u.design_fingerprint for u in units}) == 1
-
-    reference = CampaignRunner(
-        jobs=1, lanes=2, cache=ResultCache(tmp_path / "ref"),
-    ).run(units)
-
-    cache = _LateLandingCache(tmp_path / "chaos",
-                              units[0].cache_key(), reference[0])
+    late = units[0]
+    cache = _LateLandingCache(tmp_path, late.cache_key(), reference[0])
     plan = faultinject.make_plan([
-        {"site": "unit", "match": units[1].cache_key(),
-         "kind": "crash", "times": 1},
+        # keeps toy-0 in flight while toy-1 takes the pool down
+        {"site": "unit", "match": late.cache_key(), "kind": "hang",
+         "seconds": 5, "times": 1},
+        {"site": "unit", "match": units[1].cache_key(), "kind": "crash",
+         "times": 1},
     ])
     with faultinject.plan_scope(plan):
-        runner = CampaignRunner(jobs=2, lanes=2, cache=cache,
+        runner = CampaignRunner(jobs=2, cache=cache, executor=run_toy,
                                 policy=quick_policy())
         records = runner.run(units)
     assert records == reference
@@ -472,6 +460,111 @@ def test_lane_group_partial_landing_reruns_only_missing_members(
     # the sibling-shard plant goes through super().put, bypassing the
     # counter, so any write here would be a scheduler re-run.
     assert cache.late_writes == 0
+
+
+# -- cache write failures ----------------------------------------------------
+
+class _ReadOnlyCache(ResultCache):
+    """A cache whose every write fails, like a full or read-only
+    disk."""
+
+    def put(self, key, record):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_cache_writes_are_counted_and_reported(tmp_path):
+    import io
+
+    stream = io.StringIO()
+    units = toys(3)
+    runner = CampaignRunner(
+        jobs=1, executor=run_toy,
+        cache=_ReadOnlyCache(tmp_path, subdir="toys", encode=dict,
+                             decode=dict, schema=1),
+        reporter=ProgressReporter(len(units), stream=stream),
+        policy=quick_policy(),
+    )
+    records = runner.run(units)
+    # persistence degraded, verdicts did not
+    assert records == CampaignRunner(jobs=1, executor=run_toy).run(units)
+    assert runner.fault_stats["cache_write_errors"] == len(units)
+    assert runner.fault_stats["retries"] == 0
+    assert "fault tolerance: " in stream.getvalue()
+    assert "3 cache write error(s)" in stream.getvalue()
+
+
+# -- termination property ----------------------------------------------------
+
+#: Fault kinds the termination property draws from.  None of them
+#: hangs, so every plan runs in well under a second.
+_POOL_KINDS = ("crash", "raise", "tear")
+_SERIAL_KINDS = ("raise", "tear")  # a crash would kill this process
+
+
+def _draw_plan(rng, units, kinds):
+    """A seeded fault plan over ``units``: each unit gets no fault or
+    one of ``kinds``.  Crashes fire once or on every dispatch; a raise
+    is deterministic, so it fires on every dispatch; a tear fires
+    once."""
+    entries = {}
+    for unit in units:
+        kind = rng.choice((None,) + kinds)
+        if kind is not None:
+            times = {"crash": rng.choice((1, 9)), "raise": 9,
+                     "tear": 1}[kind]
+            entries[unit.cache_key()] = (kind, times)
+    faults_list = [
+        {"site": "cache-write" if kind == "tear" else "unit",
+         "match": key, "kind": kind, "times": times}
+        for key, (kind, times) in sorted(entries.items())
+    ]
+    return entries, faultinject.make_plan(faults_list)
+
+
+class _CountingCache(ResultCache):
+    def __init__(self, cache_dir):
+        super().__init__(cache_dir, subdir="toys", encode=dict,
+                         decode=dict, schema=1)
+        self.landed = collections.Counter()
+
+    def put(self, key, record):
+        self.landed[key] += 1
+        super().put(key, record)
+
+
+@pytest.mark.parametrize("jobs,kinds", [
+    pytest.param(2, _POOL_KINDS, marks=pytest.mark.campaign, id="pool"),
+    pytest.param(1, _SERIAL_KINDS, id="serial"),
+])
+@pytest.mark.parametrize("plan_seed", range(8))
+def test_every_unit_ends_in_exactly_one_terminal_state(
+        tmp_path, jobs, kinds, plan_seed):
+    """Under any mix of crashes, raises and torn writes, every unit
+    lands exactly one record: poisoned with the matching kind when
+    its fault is a raise or a crash that outlasts ``max_strikes``,
+    otherwise the fault-free ``jobs=1`` record."""
+    import random
+
+    units = toys(6)
+    reference = CampaignRunner(jobs=1, executor=run_toy).run(units)
+    entries, plan = _draw_plan(random.Random(plan_seed), units, kinds)
+    policy = quick_policy()
+    cache = _CountingCache(tmp_path)
+    with faultinject.plan_scope(plan):
+        records = CampaignRunner(
+            jobs=jobs, cache=cache, executor=run_toy,
+            poisoned_factory=toy_poisoned, policy=policy,
+        ).run(units)
+
+    assert cache.landed == {unit.cache_key(): 1 for unit in units}
+    for unit, record, expected in zip(units, records, reference):
+        kind, times = entries.get(unit.cache_key(), (None, 0))
+        if kind == "raise":
+            assert record["failure"]["kind"] == "exception"
+        elif kind == "crash" and times >= policy.max_strikes:
+            assert record["failure"]["kind"] == "worker-death"
+        else:
+            assert record == expected, (unit.unit_id, kind, times)
 
 
 # -- CLI surfaces ------------------------------------------------------------
@@ -525,10 +618,12 @@ class TestCliExitCodes:
 
         line = format_fault_stats({"retries": 2, "quarantined": 1,
                                    "pool_respawns": 1, "timeouts": 1,
-                                   "worker_deaths": 0})
+                                   "worker_deaths": 0,
+                                   "cache_write_errors": 4})
         assert "2 retried" in line
         assert "1 quarantined" in line
         assert "1 timeout" in line
+        assert "4 cache write error(s)" in line
 
 
 # -- fuzz campaign integration -----------------------------------------------

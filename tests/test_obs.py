@@ -20,13 +20,9 @@ import pytest
 
 from repro.errgen.generator import generate_dataset
 from repro.obs import export, sink, trace
-from repro.obs.metrics import (
-    DEMOTION_CATEGORIES,
-    MetricsRegistry,
-    classify_demotion,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.runner import expand_grid, run_units
-from repro.runner.report import ProgressReporter, format_progress
+from repro.runner.report import format_progress
 
 MODULE = "counter_12"
 
@@ -159,23 +155,6 @@ class TestMetrics:
         for value in (1.0, 1.0, 1.0, 100.0):
             reg.observe("unit", value)
         assert reg.histogram("unit").rolling_median() == pytest.approx(1.0)
-
-    def test_classify_demotion_covers_real_reasons(self):
-        cases = {
-            "memories are not lane-packable": "memories",
-            "$time/$stime/$random in a process body": "system-functions",
-            "design is not levelizable": "comb-cycle",
-            "per-process shim would regress: x, y": "per-process-shim",
-            "sequences not shape-aligned": "stimulus-misaligned",
-            "empty sequence": "empty-sequence",
-            "construction failed: boom": "construction-failed",
-            "packed run failed: boom": "packed-run-failed",
-            "": "other",
-            None: "other",
-        }
-        for reason, expected in cases.items():
-            assert classify_demotion(reason) == expected
-            assert expected in DEMOTION_CATEGORIES
 
 
 class TestShardMerge:
@@ -328,22 +307,3 @@ class TestProgressEta:
     def test_no_eta_when_done(self):
         line = format_progress(100, 100, 5.0, eta_seconds=9.0)
         assert "eta" not in line
-
-    def test_finish_prints_demotion_histogram(self):
-        import io
-
-        stream = io.StringIO()
-        reporter = ProgressReporter(2, stream=stream, clock=lambda: 0.0)
-        reporter.update(2, cached=0)
-        reporter.finish(demotions={"memories": 3, "comb-cycle": 1})
-        output = stream.getvalue()
-        assert "lane demotions: memories x3, comb-cycle x1" in output
-
-    def test_finish_silent_without_demotions(self):
-        import io
-
-        stream = io.StringIO()
-        reporter = ProgressReporter(1, stream=stream, clock=lambda: 0.0)
-        reporter.update(1, cached=0)
-        reporter.finish(demotions={})
-        assert "demotions" not in stream.getvalue()
