@@ -9,15 +9,25 @@ so that prompt-construction code (and tests) can pattern-match the same
 way UVLLM's scripts match real Verilator output.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List
 
 from repro.hdl.errors import HdlSyntaxError, SourceLocation
 from repro.hdl.parser import parse_source
 from repro.lint import rules
+from repro.obs.metrics import GLOBAL as _metrics
+
+#: Per-process lint memo bound, sized like the parse memo
+#: (:data:`repro.hdl.parser.MEMO_LIMIT`).
+MEMO_LIMIT = 64
+
+#: (text, enabled rule codes) -> (diagnostics tuple, parse_ok); least
+#: recently used first.
+_memo = OrderedDict()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagnostic:
     """One linter finding."""
 
@@ -76,29 +86,41 @@ class Linter:
         ]
 
     def lint(self, source):
-        """Lint Verilog text and return a :class:`LintReport`."""
-        report = LintReport()
+        """Lint Verilog text and return a :class:`LintReport`.
+
+        Each distinct (text, rule set) is linted once per process (up
+        to :data:`MEMO_LIMIT` recent pairs); every call gets a new
+        report over the shared, immutable diagnostics.
+        """
+        key = (source, tuple(rule.code for rule in self.rules))
+        entry = _memo.get(key)
+        if entry is None:
+            _metrics.inc("lint.memo_misses")
+            entry = self._lint(source)
+            _memo[key] = entry
+            if len(_memo) > MEMO_LIMIT:
+                _memo.popitem(last=False)
+        else:
+            _metrics.inc("lint.memo_hits")
+            _memo.move_to_end(key)
+        return LintReport(diagnostics=list(entry[0]), parse_ok=entry[1])
+
+    def _lint(self, source):
+        """Uncached lint: ``(diagnostics tuple in source order, parse_ok)``."""
         try:
             source_file = parse_source(source)
         except HdlSyntaxError as exc:
-            report.parse_ok = False
-            report.diagnostics.append(
-                Diagnostic(
-                    severity="error",
-                    code="SYNTAX",
-                    message=exc.message,
-                    location=exc.location,
-                )
-            )
-            return report
+            syntax = Diagnostic(severity="error", code="SYNTAX",
+                                message=exc.message, location=exc.location)
+            return (syntax,), False
 
+        diagnostics = []
         for module in source_file.modules:
             context = rules.RuleContext(module, source_file)
             for rule in self.rules:
-                for diagnostic in rule.check(context):
-                    report.diagnostics.append(diagnostic)
-        report.diagnostics.sort(key=lambda d: (d.location.line, d.location.column))
-        return report
+                diagnostics.extend(rule.check(context))
+        diagnostics.sort(key=lambda d: (d.location.line, d.location.column))
+        return tuple(diagnostics), True
 
 
 def lint_source(source, enabled_rules=None):

@@ -19,6 +19,8 @@ import os
 import pytest
 
 from repro.errgen.generator import generate_dataset
+from repro.hdl import parser
+from repro.lint import linter
 from repro.obs import export, sink, trace
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import expand_grid, run_units
@@ -293,6 +295,39 @@ class TestCampaignTelemetry:
             assert set(event) >= {"name", "cat", "ts", "dur", "pid",
                                   "tid", "args"}
         json.dumps(doc)  # must be serializable as-is
+
+    def test_front_end_memos_counted_and_tagged(self, units, tmp_path):
+        parser._memo.clear()
+        linter._memo.clear()
+        cache_dir = str(tmp_path / "memo")
+        self._run(units, cache_dir, jobs=1, telemetry=True)
+        spans, metrics = sink.read_shards(
+            os.path.join(cache_dir, "telemetry"))
+        tags = [s["attrs"]["memo"] for s in spans if s["name"] == "parse"]
+        assert metrics.counter("parse.memo_hits") == tags.count("hit") > 0
+        assert metrics.counter("parse.memo_misses") == tags.count("miss") > 0
+        assert metrics.counter("lint.memo_hits") > 0
+        assert metrics.counter("lint.memo_misses") > 0
+        report = export.summarize(spans, metrics)
+        assert 0 < report["caches"]["parse_memo"] < 1
+        assert 0 < report["caches"]["lint_memo"] < 1
+        rendered = export.render_summary(report)
+        assert "parse_memo" in rendered and "lint_memo" in rendered
+
+
+class TestCacheRates:
+    @pytest.mark.parametrize("memo, disk, compiled, memo_rate, disk_rate", [
+        (20, 10, 0, 20 / 30, 1.0),   # fully warm: every miss hit disk
+        (20, 5, 3, 20 / 28, 5 / 8),  # mixed
+    ])
+    def test_kernel_rates(self, memo, disk, compiled, memo_rate, disk_rate):
+        metrics = MetricsRegistry()
+        metrics.inc("kernel.memo_hits", memo)
+        metrics.inc("kernel.disk_hits", disk)
+        metrics.inc("kernel.compiled", compiled)
+        caches = export.summarize([], metrics)["caches"]
+        assert caches["kernel_memo"] == pytest.approx(memo_rate)
+        assert caches["kernel_disk"] == pytest.approx(disk_rate)
 
 
 class TestProgressEta:
