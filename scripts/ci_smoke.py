@@ -33,6 +33,10 @@ would otherwise hide:
   instrumentation silently fell off a layer while the report pipeline
   kept rendering plausible output; write the merged JSONL and a
   markdown summary with ``--telemetry-out`` for the CI artifact.
+  Its merged metrics must also count UVM-run memo hits and misses:
+  a sequence class without a ``key()`` would otherwise switch the
+  memo off without failing anything (deterministic counts, never
+  timings).
 
 - a deliberately-failing mini campaign (repair iterations forced to
   zero) run with ``--forensics`` must produce at least one debug
@@ -182,8 +186,14 @@ def main():
     if missing:
         return fail(f"campaign span tree is missing expected phases "
                     f"{missing} — telemetry instrumentation regressed")
+    memo_hits = span_metrics.counter("uvm.memo_hits")
+    memo_misses = span_metrics.counter("uvm.memo_misses")
+    if not (memo_hits > 0 and memo_misses > 0):
+        return fail(f"UVM-run memo saw {memo_hits} hits and "
+                    f"{memo_misses} misses — it has switched itself off")
     print(f"telemetry ok: {len(spans)} spans across "
-          f"{len(span_names)} phases")
+          f"{len(span_names)} phases; UVM memo {memo_hits} hits, "
+          f"{memo_misses} misses")
     if args.telemetry_out:
         merged = sink.write_merged(
             telemetry_dir, os.path.join(args.telemetry_out,

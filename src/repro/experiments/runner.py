@@ -40,6 +40,7 @@ from repro.core.config import UVLLMConfig
 from repro.core.framework import UVLLM
 from repro.lint.linter import Linter
 from repro.llm.mock import MockLLM
+from repro.memo import LRUMemo
 from repro.obs import trace
 from repro.runner.grid import expand_grid
 from repro.runner.scheduler import run_units
@@ -108,10 +109,10 @@ def evaluate_fix(final_source, bench, seed=1000):
 #: active backend even though fragments are designed to be
 #: backend-invariant: ci_smoke's cross-backend parity check must
 #: compare two *measurements*, not a measurement against its own
-#: cached copy.  Values are JSON strings (immutable; callers get a
-#: fresh deep copy).
-_COVERAGE_MEMO = {}
+#: cached copy.  Keys hold the source texts themselves; values are
+#: JSON strings (immutable; callers get a fresh deep copy).
 _COVERAGE_MEMO_LIMIT = 4096
+_COVERAGE_MEMO = LRUMemo(_COVERAGE_MEMO_LIMIT)
 
 
 def collect_unit_coverage(instance, bench, seed=0):
@@ -128,14 +129,13 @@ def collect_unit_coverage(instance, bench, seed=0):
     too — a property ci_smoke verifies by re-measuring per backend
     (hence the backend in the memo key).
     """
-    key = (instance.instance_id, hash(instance.buggy_source),
-           hash(instance.golden_source), seed, get_default_backend())
-    memoized = _COVERAGE_MEMO.get(key)
+    key = (instance.instance_id, instance.buggy_source,
+           instance.golden_source, seed, get_default_backend())
+    memoized = _COVERAGE_MEMO.lookup(key)
     if memoized is not None:
         return json.loads(memoized)
     fragment = _measure_unit_coverage(instance, bench, seed)
-    if len(_COVERAGE_MEMO) < _COVERAGE_MEMO_LIMIT:
-        _COVERAGE_MEMO[key] = json.dumps(fragment)
+    _COVERAGE_MEMO.store(key, json.dumps(fragment))
     return fragment
 
 

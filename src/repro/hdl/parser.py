@@ -6,11 +6,10 @@ locations; the linter converts these into Verilator-style ``%Error``
 lines that the UVLLM pre-processing stage feeds to the repair LLM.
 """
 
-from collections import OrderedDict
-
 from repro.hdl import ast
 from repro.hdl.errors import HdlSyntaxError
 from repro.hdl.lexer import Lexer, TokenKind
+from repro.memo import LRUMemo
 from repro.obs import trace
 from repro.obs.metrics import GLOBAL as _metrics
 
@@ -788,8 +787,8 @@ class Parser:
 MEMO_LIMIT = 64
 
 #: text -> its ``SourceFile``, or the ``(message, location)`` of its
-#: syntax error; least recently used first.
-_memo = OrderedDict()
+#: syntax error.
+_memo = LRUMemo(MEMO_LIMIT)
 
 
 def parse_source(source):
@@ -801,7 +800,7 @@ def parse_source(source):
     syntax error is remembered and raised afresh on every call.
     """
     with trace.span("parse", cat="hdl", chars=len(source)) as span:
-        entry = _memo.get(source)
+        entry = _memo.lookup(source)
         if entry is None:
             span.set(memo="miss")
             _metrics.inc("parse.memo_misses")
@@ -809,13 +808,10 @@ def parse_source(source):
                 entry = Parser(source).parse_source()
             except HdlSyntaxError as exc:
                 entry = (exc.message, exc.location)
-            _memo[source] = entry
-            if len(_memo) > MEMO_LIMIT:
-                _memo.popitem(last=False)
+            _memo.store(source, entry)
         else:
             span.set(memo="hit")
             _metrics.inc("parse.memo_hits")
-            _memo.move_to_end(source)
         if isinstance(entry, tuple):
             raise HdlSyntaxError(*entry)
         return entry

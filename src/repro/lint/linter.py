@@ -9,22 +9,21 @@ so that prompt-construction code (and tests) can pattern-match the same
 way UVLLM's scripts match real Verilator output.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List
 
 from repro.hdl.errors import HdlSyntaxError, SourceLocation
 from repro.hdl.parser import parse_source
 from repro.lint import rules
+from repro.memo import LRUMemo
 from repro.obs.metrics import GLOBAL as _metrics
 
 #: Per-process lint memo bound, sized like the parse memo
 #: (:data:`repro.hdl.parser.MEMO_LIMIT`).
 MEMO_LIMIT = 64
 
-#: (text, enabled rule codes) -> (diagnostics tuple, parse_ok); least
-#: recently used first.
-_memo = OrderedDict()
+#: (text, enabled rule codes) -> (diagnostics tuple, parse_ok).
+_memo = LRUMemo(MEMO_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,12 @@ class Linter:
         report over the shared, immutable diagnostics.
         """
         key = (source, tuple(rule.code for rule in self.rules))
-        entry = _memo.get(key)
+        entry = _memo.lookup(key)
         if entry is None:
             _metrics.inc("lint.memo_misses")
-            entry = self._lint(source)
-            _memo[key] = entry
-            if len(_memo) > MEMO_LIMIT:
-                _memo.popitem(last=False)
+            entry = _memo.store(key, self._lint(source))
         else:
             _metrics.inc("lint.memo_hits")
-            _memo.move_to_end(key)
         return LintReport(diagnostics=list(entry[0]), parse_ok=entry[1])
 
     def _lint(self, source):

@@ -124,6 +124,8 @@ def summarize(spans, metrics, top=10, opens=None):
     } for item in units[:top]]
 
     # Per-module simulated throughput, from simulate-span attributes.
+    # A UVM-memo hit carries the stored run's cycles but simulated
+    # nothing, so only executed runs enter time, cycles and events.
     modules = {}
     for item in spans:
         if item.get("name") != "simulate":
@@ -132,8 +134,12 @@ def summarize(spans, metrics, top=10, opens=None):
         module = attrs.get("module", "?")
         row = modules.get(module)
         if row is None:
-            row = modules[module] = {"runs": 0, "seconds": 0.0, "cycles": 0, "events": 0}
+            row = modules[module] = {"runs": 0, "memo_hits": 0, "seconds": 0.0,
+                                     "cycles": 0, "events": 0}
         row["runs"] += 1
+        if attrs.get("memo") == "hit":
+            row["memo_hits"] += 1
+            continue
         row["seconds"] += item.get("dur", 0.0)
         row["cycles"] += int(attrs.get("cycles", 0))
         row["events"] += int(attrs.get("events", 0))
@@ -155,6 +161,8 @@ def summarize(spans, metrics, top=10, opens=None):
                             counters.get("parse.memo_misses", 0)),
         "lint_memo": _rate(counters.get("lint.memo_hits", 0),
                            counters.get("lint.memo_misses", 0)),
+        "uvm_memo": _rate(counters.get("uvm.memo_hits", 0),
+                          counters.get("uvm.memo_misses", 0)),
     }
 
     faults = {
@@ -220,16 +228,19 @@ def render_summary(report, markdown=False):
     if modules:
         lines.append(bold("Per-module simulation throughput"))
         if markdown:
-            lines.append("| module | runs | sim time | cycles/sec |")
-            lines.append("|---|---:|---:|---:|")
+            lines.append("| module | runs | memo hits | sim time "
+                         "| cycles/sec |")
+            lines.append("|---|---:|---:|---:|---:|")
         order = sorted(modules.items(), key=lambda kv: -kv[1]["seconds"])
         for name, row in order:
-            cells = (name, str(row["runs"]), _fmt_seconds(row["seconds"]),
+            cells = (name, str(row["runs"]), str(row["memo_hits"]),
+                     _fmt_seconds(row["seconds"]),
                      "%.0f" % row["cycles_per_sec"])
             if markdown:
-                lines.append("| %s | %s | %s | %s |" % cells)
+                lines.append("| %s | %s | %s | %s | %s |" % cells)
             else:
-                lines.append("  %-24s %5s runs  %8s  %10s cyc/s" % cells)
+                lines.append("  %-24s %5s runs %5s memo hits  %8s  %10s cyc/s"
+                             % cells)
         lines.append("")
 
     slowest = report.get("slowest_units", [])

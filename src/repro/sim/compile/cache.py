@@ -36,6 +36,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 
+from repro.memo import LRUMemo
 from repro.obs import trace as _tracer
 from repro.obs.metrics import GLOBAL as _metrics
 from repro.sim.compile.kernel import build_kernel_source
@@ -46,15 +47,15 @@ from repro.sim.elaborate import design_fingerprint
 #: sources become unreachable instead of being rebound incorrectly.
 CODEGEN_VERSION = 2
 
-#: key -> (bind callable, source text); per worker process.  Bounded
-#: FIFO: campaigns cycle through a few hundred distinct designs at
-#: most, while an all-unique fuzz stream gets zero memo hits by
-#: construction — so evicting the oldest kernel only ever drops dead
-#: weight (the disk layer still skips codegen on a re-encounter).
-_memo = {}
-
 #: Per-worker memo bound (kernel modules retained at once).
 MEMO_LIMIT = 256
+
+#: key -> (bind callable, source text); per worker process.  Campaigns
+#: cycle through a few hundred distinct designs at most, while an
+#: all-unique fuzz stream gets zero memo hits by construction — so an
+#: evicted kernel is mostly dead weight (the disk layer still skips
+#: codegen on a re-encounter).
+_memo = LRUMemo(MEMO_LIMIT)
 
 #: Explicit disk directory (wins over the environment variable).
 _disk_dir = None
@@ -183,7 +184,7 @@ def get_kernel(design, order, trace=True, coverage=None):
     recording calls are valid for every later collector instance).
     """
     key = kernel_cache_key(design, trace, coverage is not None)
-    entry = _memo.get(key)
+    entry = _memo.lookup(key)
     if entry is not None:
         _bump("memo_hits")
         return entry
@@ -209,9 +210,6 @@ def get_kernel(design, order, trace=True, coverage=None):
         namespace = {}
         code = compile(source, f"<repro-kernel {key[:16]}>", "exec")
         exec(code, namespace)  # noqa: S102 - the whole module is codegen
-        entry = (namespace["bind"], source)
-        while len(_memo) >= MEMO_LIMIT:
-            _memo.pop(next(iter(_memo)))
-        _memo[key] = entry
+        entry = _memo.store(key, (namespace["bind"], source))
     return entry
 

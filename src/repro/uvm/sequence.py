@@ -19,6 +19,12 @@ class Sequence:
         """Yield transactions.  Subclasses override."""
         raise NotImplementedError
 
+    def key(self):
+        """A hashable value equal for two sequences only when they yield
+        the same transactions, or ``None`` (never memoized).  Built from
+        seeds and parameters, never by generating the stream."""
+        return None
+
     def __iter__(self):
         return iter(self.items())
 
@@ -34,6 +40,12 @@ class DirectedSequence(Sequence):
     def items(self):
         for txn in self.transactions:
             yield txn.copy()
+
+    def key(self):
+        return (type(self), tuple(
+            (repr(txn.fields), txn.hold_cycles, repr(txn.meta))
+            for txn in self.transactions
+        ))
 
 
 class RandomSequence(Sequence):
@@ -86,6 +98,14 @@ class RandomSequence(Sequence):
                         fields[name] = rng.choice(choices)
             yield Transaction(fields, hold_cycles=self.hold_cycles)
 
+    def key(self):
+        # Draws follow ``field_ranges`` order, and ``repr`` tells a
+        # ``(lo, hi)`` range tuple from a choice list.
+        ranges = tuple((name, repr(spec))
+                       for name, spec in self.field_ranges.items())
+        return (type(self), ranges, self.count, self.seed,
+                self.corner_weight, self.hold_cycles)
+
 
 class ResetSequence(Sequence):
     """Holds reset asserted for ``cycles`` transactions.
@@ -109,6 +129,9 @@ class ResetSequence(Sequence):
                 meta["reset_glitch"] = True
             yield Transaction(self.fields, meta=meta)
 
+    def key(self):
+        return (type(self), self.cycles, repr(self.fields), self.glitch)
+
 
 class ConcatSequence(Sequence):
     """Runs several sequences back to back."""
@@ -121,3 +144,9 @@ class ConcatSequence(Sequence):
     def items(self):
         for sequence in self.sequences:
             yield from sequence.items()
+
+    def key(self):
+        keys = tuple(sequence.key() for sequence in self.sequences)
+        if None in keys:
+            return None
+        return (type(self), keys)

@@ -25,6 +25,7 @@ from repro.obs import export, sink, trace
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import expand_grid, run_units
 from repro.runner.report import format_progress
+from repro.uvm import test as uvm_test
 
 MODULE = "counter_12"
 
@@ -265,6 +266,11 @@ class TestCampaignTelemetry:
         assert labels_1 == labels_2 == sorted(u.unit_id for u in units)
 
     def test_expected_phase_spans_present(self, units, tmp_path):
+        # Earlier tests ran the same campaign in this process: start
+        # cold, or every UVM run replays from the memo unelaborated.
+        parser._memo.clear()
+        linter._memo.clear()
+        uvm_test._memo.clear()
         cache_dir = str(tmp_path / "phases")
         self._run(units, cache_dir, jobs=1, telemetry=True)
         spans, _ = sink.read_shards(os.path.join(cache_dir, "telemetry"))
@@ -299,6 +305,7 @@ class TestCampaignTelemetry:
     def test_front_end_memos_counted_and_tagged(self, units, tmp_path):
         parser._memo.clear()
         linter._memo.clear()
+        uvm_test._memo.clear()
         cache_dir = str(tmp_path / "memo")
         self._run(units, cache_dir, jobs=1, telemetry=True)
         spans, metrics = sink.read_shards(
@@ -328,6 +335,34 @@ class TestCacheRates:
         caches = export.summarize([], metrics)["caches"]
         assert caches["kernel_memo"] == pytest.approx(memo_rate)
         assert caches["kernel_disk"] == pytest.approx(disk_rate)
+
+
+class TestModuleThroughput:
+    def test_memo_hits_do_not_inflate_cycles_per_sec(self):
+        def simulate(dur, cycles, **attrs):
+            return {"name": "simulate", "dur": dur,
+                    "attrs": {"module": "m", "cycles": cycles,
+                              "events": cycles // 10, **attrs}}
+
+        spans = [simulate(0.5, 1000, memo="miss"),
+                 simulate(0.25, 500),
+                 simulate(1e-5, 1000, memo="hit")]
+        metrics = MetricsRegistry()
+        metrics.inc("uvm.memo_hits", 1)
+        metrics.inc("uvm.memo_misses", 1)
+        report = export.summarize(spans, metrics)
+        row = report["modules"]["m"]
+        assert (row["runs"], row["memo_hits"]) == (3, 1)
+        assert (row["cycles"], row["events"]) == (1500, 150)
+        assert row["seconds"] == pytest.approx(0.75)
+        assert row["cycles_per_sec"] == pytest.approx(2000)
+        assert report["caches"]["uvm_memo"] == pytest.approx(0.5)
+        rendered = export.render_summary(report)
+        assert "uvm_memo 50%" in rendered
+        assert "3 runs     1 memo hits" in rendered
+        assert "2000 cyc/s" in rendered
+        assert "| m | 3 | 1 | 750.0ms | 2000 |" in export.render_summary(
+            report, markdown=True)
 
 
 class TestProgressEta:
