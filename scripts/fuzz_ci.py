@@ -12,8 +12,8 @@ fails loudly on anything a green-but-meaningless run would hide:
   from the on-disk verdict cache and reproduce the cold pass's
   feature histogram bit-for-bit (determinism + resumability);
 - the feature histogram must cover the generator's special
-  constructs (FSMs, memories, comb-cycle fallback, demoted
-  processes, hierarchy) — a generator regression that quietly stops
+  constructs (FSMs, memories, comb cycles, demoted processes,
+  hierarchy) — a generator regression that quietly stops
   emitting a construct would otherwise shrink the tested grammar.
 
 To reproduce a CI failure locally, download the fuzz-failures

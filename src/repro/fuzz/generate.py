@@ -5,9 +5,10 @@ always blocks, case/casez/casex statements, NBA/BA mixes, part
 selects, x-literals, FSMs, signed inputs/registers, memories
 (multiple per design, with sync read ports, constant and
 out-of-range stores, $signed-cast writes), hierarchy, gated-latch
-combinational cycles (which defeat the levelizer and exercise its event-driven
-fallback), and run-time part-select bounds (which the codegen cannot
-prove faithful, forcing per-process demotion to the interpreter).
+combinational cycles (which defeat the levelizer, so the compiled
+backend runs the whole design on the interpreter), and run-time
+part-select bounds (which the codegen cannot prove faithful, forcing
+per-process demotion to the interpreter).
 
 Every design is a pure function of its seed.  Two structural rules
 keep generated designs *deterministically simulatable* so that any
@@ -482,7 +483,7 @@ def generate_design(seed, profile=None):
         b.readable[name] = mem_width
         b.features.add("memory-read")
 
-    # -- gated-latch comb cycle (levelizer fallback) ------------------------
+    # -- gated-latch comb cycle (defeats the levelizer) ---------------------
     if rng.random() < 0.3:
         b.features.add("comb-cycle")
         width = rng.choice((1, 4, 8))
@@ -723,7 +724,7 @@ def _emit_comb_always(b, comb_regs):
         if rng.random() < 0.15:
             # Run-time ":" part-select bounds: legal for the
             # interpreter, NotCompilable for the codegen -> this
-            # process demotes (per-process fallback path).
+            # process demotes to the interpreter.
             wide = [n for n in group if b.signals[n] >= 4]
             pool = [n for n, w in b.read_pool(forbidden) if w <= 3]
             if wide and pool:

@@ -3,8 +3,9 @@
 Three backends share the :class:`~repro.sim.engine.Simulator` API:
 
 - ``interp`` — the event-driven tree-walking interpreter (reference);
-- ``compiled`` — levelized, codegen'd native-closure execution
-  (:mod:`repro.sim.compile`), bit-identical values/traces;
+- ``compiled`` — each levelized design fused into one generated
+  kernel (:mod:`repro.sim.compile`); a design that does not levelize
+  runs on the interpreter.  Values and traces are bit-identical;
 - ``xcheck`` — both in lockstep, raising
   :class:`~repro.sim.compile.xcheck.XCheckDivergence` on the first
   architectural-state mismatch.

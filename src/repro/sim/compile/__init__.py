@@ -8,7 +8,7 @@ and :mod:`repro.sim.backend` for selection (``interp``/``compiled``/
 """
 
 from repro.sim.compile.cache import get_kernel, kernel_cache_key
-from repro.sim.compile.codegen import NotCompilable, compile_process
+from repro.sim.compile.codegen import NotCompilable
 from repro.sim.compile.engine import CompiledSimulator
 from repro.sim.compile.kernel import build_kernel_source
 from repro.sim.compile.levelize import levelize
@@ -20,7 +20,6 @@ __all__ = [
     "XCheckDivergence",
     "XCheckSimulator",
     "build_kernel_source",
-    "compile_process",
     "get_kernel",
     "kernel_cache_key",
     "levelize",

@@ -34,7 +34,7 @@ directory is in play, before the worker pool spawns).
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from repro.memo import LRUMemo
 from repro.obs import trace as _tracer
@@ -164,14 +164,20 @@ def _load_source(path):
 
 def _store_source(path, source):
     directory = os.path.dirname(path)
+    tmp_path = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(source)
         os.replace(tmp_path, path)
+        tmp_path = None
     except OSError:
         pass  # a read-only or racing cache dir never fails the run
+    finally:
+        if tmp_path is not None:
+            with suppress(OSError):
+                os.unlink(tmp_path)
 
 
 def get_kernel(design, order, trace=True, coverage=None):

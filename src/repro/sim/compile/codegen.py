@@ -1,8 +1,23 @@
-"""Process-body codegen: AST -> native Python closures.
+"""Process-body lowering for the fused kernel.
 
-Each elaborated :class:`~repro.sim.elaborate.Process` body is compiled
-*once* into Python source that is ``exec``'d into a zero-argument
-closure.  The generated code operates directly on the shared
+:class:`ProcessCompiler` turns one elaborated
+:class:`~repro.sim.elaborate.Process` body into Python source lines
+that :class:`~repro.sim.compile.kernel.KernelCompiler` assembles into
+the design's generated kernel module.  There is one lowering, in two
+placements (``mode``):
+
+- ``"comb"`` — the body is inlined into the kernel's ``_settle`` at
+  its topological level.  Signal reads are locals hoisted once per
+  comb wave, and blocking stores rebind the local and commit once at
+  the end of the body wherever no observer could see the intermediate
+  value (see :meth:`KernelCompiler.defer_ok`);
+- ``"fn"`` — a seq/initial body becomes a sibling function
+  ``_fn{i}(sim)``.  Reads are slot attributes, whole-signal and memory
+  stores go through the kernel's per-signal and per-memory committers,
+  and non-blocking stores append ``(committer, value)`` tuples to the
+  NBA region.
+
+The generated code operates directly on the shared
 :class:`~repro.sim.values.Value` machinery (so four-state semantics —
 including x-propagation — are bit-identical to the tree-walking
 interpreter by construction) but with every per-delta cost removed:
@@ -11,27 +26,25 @@ interpreter by construction) but with every per-delta cost removed:
 - context widths (IEEE 1364's self-determined-width rules) are folded
   to integer literals wherever they are static — which is everywhere
   widths depend only on declarations, literals and parameters;
-- signals, memories, parameter values and literal ``Value``\\ s are
-  pre-bound into the closure's globals (no per-read scope lookups);
-- ``case`` statements with constant same-width labels lower to a dict
-  dispatch over ``(bits, xmask)`` keys;
-- non-blocking assignments lower to ``functools.partial`` slot writes
-  appended to the simulator's NBA region.
+- signals, memories and scopes are rebound by name in the kernel's
+  ``bind(design)`` prologue, and literal ``Value``\\ s are
+  module-level constants (no per-read scope lookups);
+- ``case`` statements with constant same-width labels lower to one
+  dict probe over ``(bits, xmask)`` keys selecting an inlined arm.
 
 Anything the compiler cannot prove it can reproduce exactly —
 run-time-width part selects in contexts the interpreter sizes
-dynamically, whole-memory assignments, unsupported system calls —
-raises :class:`NotCompilable` and the engine keeps interpreting that
-one process.  Errors the interpreter raises at *run* time (e.g. loop
-guards, unexecutable statements) must keep raising at run time, which
-the fallback guarantees.
+dynamically, whole-memory assignments, unsupported system calls,
+identifiers the interpreter would declare lazily — raises
+:class:`NotCompilable`, and the kernel calls the interpreter for that
+one process at its level.  Errors the interpreter raises at *run* time
+(e.g. loop guards, unexecutable statements) must keep raising at run
+time, which that demotion guarantees.
 """
-
-import functools
 
 from repro.hdl import ast
 from repro.sim.elaborate import Signal
-from repro.sim.engine import SimulationError, _MAX_LOOP_ITERATIONS
+from repro.sim.engine import _MAX_LOOP_ITERATIONS
 from repro.sim.eval import Evaluator, EvalError, Memory
 from repro.sim.values import Value
 
@@ -89,42 +102,47 @@ class _ParamResolver:
 
 
 class ProcessCompiler:
-    """Compiles one process body into a closure over the simulator."""
+    """Lowers one process body for a :class:`KernelCompiler`.
 
-    def __init__(self, simulator, process):
-        self.sim = simulator
+    ``mode`` is ``"comb"`` (inlined into ``_settle``) or ``"fn"`` (a
+    seq/initial sibling function); see the module docstring.  Code
+    generation is simulator-free: every object reference is emitted
+    as a ``bind(design)`` or module-level assignment through
+    ``kernel``, so one generated module serves every simulator of the
+    design.
+    """
+
+    def __init__(self, kernel, process, mode):
+        self.kernel = kernel
         self.process = process
         self.scope = process.scope
         self.nonblocking = process.kind == "seq"
+        self.mode = mode
+        self.pidx = kernel.proc_index[id(process)]
         self.lines = []
         self.indent = 1
         self.counter = 0
-        # exec environment: prebound objects, deduplicated by identity.
-        self.env = {
-            "Value": Value,
-            "SimulationError": SimulationError,
-            "_pt": functools.partial,
-            "_sim": simulator,
-            "_W": simulator._write_signal,
-            "_SB": simulator._store_bit,
-            "_SS": simulator._store_slice,
-            "_MW": simulator._mem_write,
-            "_scope": self.scope,
-        }
-        self._bound = {}  # id(obj) -> env name
         self._const_folder = Evaluator(_ParamResolver(self.scope))
         # Code-coverage instrumentation mirrors the interpreter's:
         # live recording for seq/initial bodies only (comb bodies are
         # covered by schedule-invariant stable-point replay instead —
         # see repro.cover.code).  Recording calls are baked into the
         # generated source, so they cost nothing when coverage is off.
-        cov = getattr(simulator, "code_coverage", None)
-        self.cov = cov if (
-            cov is not None and process.kind != "comb"
-        ) else None
+        cov = kernel.cov
+        self.cov = cov if (cov is not None and process.kind != "comb") \
+            else None
+        #: id(Signal) -> (Signal, local name), insertion-ordered: the
+        #: signals this body stores via deferred locals, committed once
+        #: at the end of the inlined body.
+        self.deferred = {}
+        #: Helper bindings the emitted code needs ("_W", "_nba", ...).
+        self.uses = set()
         if self.cov is not None:
-            self.env["_CS"] = self.cov.hit_stmt
-            self.env["_CB"] = self.cov.hit_branch
+            self.uses.add("_cov")
+        #: True when the body makes engine-mediated writes, which
+        #: consult ``sim._running`` for self-wake suppression.
+        self.needs_running = False
+        self._rhs_signed = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -133,54 +151,40 @@ class ProcessCompiler:
 
     def tmp(self):
         self.counter += 1
-        return f"_t{self.counter}"
+        return f"_t{self.pidx}_{self.counter}"
 
-    def bind(self, obj, prefix):
-        name = self._bound.get(id(obj))
-        if name is None:
-            name = f"_{prefix}{len(self._bound)}"
-            self._bound[id(obj)] = name
-            self.env[name] = obj
-        return name
+    def bind(self, obj):
+        """Bind-time name of a signal or memory slot."""
+        return self.kernel.bind_object(obj)
 
     def bind_value(self, value):
-        return self.bind(value, "K")
-
-    def scope_ref(self):
-        """Name of the process scope in the generated code.
-
-        The fused-kernel compiler overrides this (scopes there are
-        rebound per design at ``bind()`` time instead of living in the
-        exec environment)."""
-        return "_scope"
+        """Module-level name of a constant ``Value``."""
+        return self.kernel.bind_const(value)
 
     def signal_value_ref(self, entry):
-        """Expression reading ``entry``'s current value.
-
-        Overridable: the fused kernel hoists signal slots into local
-        variables, so reads there are plain locals."""
-        return f"{self.bind(entry, 'S')}.value"
+        """Expression reading ``entry``'s current value: the hoisted
+        local in a comb body, the slot attribute in a function."""
+        if self.mode == "comb":
+            return self.kernel.local_for(entry)
+        return f"{self.bind(entry)}.value"
 
     # -- name resolution (mirrors Scope / _BindScope / _Executor) -----------
+
+    # Elaboration declares every identifier eagerly; a miss here means
+    # the interpreter would declare lazily at run time, so the process
+    # must stay interpreted to match.
 
     def resolve_read(self, name):
         entry = self.scope.lookup(name)
         if entry is None:
-            declarer = (
-                self.scope if hasattr(self.scope, "declare_implicit")
-                else self.scope.read_scope
-            )
-            entry = declarer.declare_implicit(name)
+            raise NotCompilable(f"undeclared identifier '{name}'")
         return entry
 
     def resolve_target(self, name):
         lookup = getattr(self.scope, "lookup_target", None)
         entry = lookup(name) if lookup else self.scope.lookup(name)
         if entry is None:
-            if hasattr(self.scope, "declare_implicit"):
-                entry = self.scope.declare_implicit(name)
-            else:
-                entry = self.scope.write_scope.declare_implicit(name)
+            raise NotCompilable(f"undeclared target '{name}'")
         return entry
 
     # -- compile-time widths (mirrors Evaluator.self_width) -----------------
@@ -886,7 +890,7 @@ class ProcessCompiler:
                 ivar = (repr(const_index) if have_const
                         else self._runtime_int(expr.index))
                 out = self.tmp()
-                self.emit(f"{out} = {self.bind(entry, 'M')}.read({ivar})")
+                self.emit(f"{out} = {self.bind(entry)}.read({ivar})")
                 return self._ctx_guard(out, entry.width, ctx_width)
         bvar, bw = self.compile_expr(expr.base)
         out = self.tmp()
@@ -989,12 +993,13 @@ class ProcessCompiler:
             return out, 32
         if expr.name in ("$time", "$stime"):
             out = self.tmp()
-            self.emit(f"{out} = Value(getattr({self.scope_ref()}, "
-                      "'time', 0), 64)")
+            scope = self.kernel.bind_scope(self.process)
+            self.emit(f"{out} = Value(getattr({scope}, 'time', 0), 64)")
             return out, 64
         if expr.name == "$random":
             out = self.tmp()
-            self.emit(f"{out} = Value(getattr({self.scope_ref()}, "
+            scope = self.kernel.bind_scope(self.process)
+            self.emit(f"{out} = Value(getattr({scope}, "
                       "'random_value', 0), 32)")
             return out, 32
         raise NotCompilable(f"unsupported function {expr.name}")
@@ -1106,8 +1111,10 @@ class ProcessCompiler:
         self._compile_case_chain(stmt, svar, swidth, items, default_item)
 
     def _compile_case_dict(self, stmt, svar, swidth, folded, default_item):
-        """Constant same-width ``case``: one dict probe over
-        ``(bits, xmask)``, arms compiled as sibling closures."""
+        """Constant same-width ``case``: one dict probe mapping
+        ``(bits, xmask)`` to a small arm index, arms inlined as an
+        integer if/elif chain (arms must stay inline so they can read
+        and write the kernel's hoisted locals)."""
         sid = (
             self.cov.stmt_id.get(id(stmt))
             if self.cov is not None else None
@@ -1121,29 +1128,24 @@ class ProcessCompiler:
                 arm_of[id(item)] = (len(arm_of), item)
             # First matching label wins, like the interpreter's scan.
             dispatch.setdefault(key, arm_of[id(item)][0])
-        arm_fns = []
-        for index, item in sorted(arm_of.values()):
-            prelude = []
-            if sid is not None:
-                entry = self.cov.case_arm.get(id(item))
-                if entry is not None:
-                    prelude.append(f"_CB({entry[0]!r}, {entry[1]!r})")
-            arm_fns.append(self._compile_subfunction(
-                item.body, f"case arm {index}", prelude=prelude
-            ))
-        table = self.bind(
-            {key: arm_fns[arm] for key, arm in dispatch.items()}, "D"
-        )
+        table = self.kernel.bind_dispatch(dispatch)
         sub = svar
         if width != swidth:
             sub = self.tmp()
             self.emit(f"{sub} = {svar}.resize({width})")
-        fn = self.tmp()
-        self.emit(f"{fn} = {table}.get(({sub}.bits, {sub}.xmask))")
-        self.emit(f"if {fn} is not None:")
-        self.indent += 1
-        self.emit(f"{fn}()")
-        self.indent -= 1
+        sel = self.tmp()
+        self.emit(f"{sel} = {table}.get(({sub}.bits, {sub}.xmask), -1)")
+        first = True
+        for index, item in sorted(arm_of.values()):
+            self.emit(f"{'if' if first else 'elif'} {sel} == {index}:")
+            first = False
+            self.indent += 1
+            if sid is not None:
+                entry = self.cov.case_arm.get(id(item))
+                if entry is not None:
+                    self.emit(f"_CB({entry[0]!r}, {entry[1]!r})")
+            self._compile_branch(item.body)
+            self.indent -= 1
         if default_item is not None or sid is not None:
             # With no default body the _CB call alone keeps the
             # generated else-block non-empty.
@@ -1252,26 +1254,6 @@ class ProcessCompiler:
         return (f"({sub}.bits & ~{wc}) == ({lab}.bits & ~{wc}) "
                 f"and {sub}.xmask & ~{wc} == 0")
 
-    def _compile_subfunction(self, stmt, label, prelude=()):
-        """Compile a statement into a sibling zero-arg closure (case
-        arms for dict dispatch).  Shares the same exec globals.
-        ``prelude`` lines (e.g. coverage recording) run first."""
-        outer_lines, outer_indent = self.lines, self.indent
-        self.lines, self.indent = [], 1
-        try:
-            for line in prelude:
-                self.emit(line)
-            self._compile_branch(stmt)
-            body = self.lines
-        finally:
-            self.lines, self.indent = outer_lines, outer_indent
-        self.counter += 1
-        name = f"_arm{self.counter}"
-        source = f"def {name}():  # {label}\n" + "\n".join(body)
-        exec(source, self.env)  # noqa: S102 - the whole module is codegen
-        fn = self.env[name]
-        return fn
-
     # -- loops ---------------------------------------------------------------
 
     def _compile_for(self, stmt):
@@ -1342,24 +1324,46 @@ class ProcessCompiler:
         )
 
     def _compile_assign(self, stmt):
+        # Statically-known RHS signedness lets the deferred store skip
+        # its per-store normalization guard (the engine's
+        # ``_write_signal`` normalizes signedness; deferred locals
+        # must match because later reads see them).
+        try:
+            self._rhs_signed = self.static_signed(stmt.value)
+        except NotCompilable:
+            self._rhs_signed = None
         target_width = self._lvalue_width(stmt.target)
         var, vw = self.compile_expr(stmt.value, target_width)
         if vw != target_width:
             out = self.tmp()
             self.emit(f"{out} = {var}.resize({target_width})")
             var = out
-        deferred = not (stmt.blocking or not self.nonblocking)
+        deferred = self.nonblocking and not stmt.blocking
         self._compile_store(stmt.target, var, deferred)
 
     def _compile_store(self, target, var, deferred):
         if isinstance(target, ast.Identifier):
             entry = self.resolve_target(target.name)
             if isinstance(entry, Signal):
-                sig = self.bind(entry, "S")
                 if deferred:
-                    self.emit(f"_sim._nba.append(_pt(_W, {sig}, {var}))")
-                else:
-                    self.emit(f"_W({sig}, {var})")
+                    self.uses.add("_nba")
+                    self.emit(f"_nba.append(("
+                              f"{self.kernel.commit_fn_for(entry)}, "
+                              f"{var}))")
+                    return
+                if self.mode == "comb":
+                    if self.kernel.defer_ok(entry):
+                        self._emit_local_store(entry, var)
+                        return
+                    self.uses.add("_W")
+                    self.emit(f"_W({self.bind(entry)}, {var})")
+                    self._after_engine_write(entry)
+                    return
+                # Seq/initial blocking store: the per-signal committer
+                # is exact (seq processes are never comb listeners, so
+                # no self-wake suppression is needed).
+                self.emit(f"{self.kernel.commit_fn_for(entry)}"
+                          f"(sim, {var})")
                 return
             if isinstance(entry, Memory):
                 raise NotCompilable(
@@ -1367,36 +1371,122 @@ class ProcessCompiler:
                 )
             return  # parameter target: a lint-caught no-op
         if isinstance(target, ast.Index):
-            if not isinstance(target.base, ast.Identifier):
-                raise NotCompilable("unsupported indexed assignment target")
-            ivar = self._runtime_int(target.index)
-            entry = self.resolve_target(target.base.name)
-            if isinstance(entry, Memory):
-                mem = self.bind(entry, "M")
-                if deferred:
-                    self.emit(f"_sim._nba.append(_pt(_MW, {mem}, {ivar}, "
-                              f"{var}))")
-                else:
-                    self.emit(f"_MW({mem}, {ivar}, {var})")
-                return
-            if isinstance(entry, Signal):
-                sig = self.bind(entry, "S")
-                if deferred:
-                    self.emit(f"_sim._nba.append(_pt(_SB, {sig}, {ivar}, "
-                              f"{var}))")
-                else:
-                    self.emit(f"_SB({sig}, {ivar}, {var})")
-                return
-            raise NotCompilable("unsupported indexed assignment target")
+            self._compile_index_store(target, var, deferred)
+            return
         if isinstance(target, ast.PartSelect):
             self._compile_part_select_store(target, var, deferred)
             return
         if isinstance(target, ast.Concat):
+            # The split pieces are constructed unsigned regardless of
+            # the whole RHS's signedness — the deferred-store
+            # normalization guard must see that, not the outer RHS.
+            self._rhs_signed = False
             self._compile_concat_store(target, var, deferred)
             return
         raise NotCompilable(
             f"invalid assignment target {type(target).__name__}"
         )
+
+    def _defer_local(self, entry):
+        local = self.kernel.local_for(entry)
+        self.deferred.setdefault(id(entry), (entry, local))
+        return local
+
+    def _emit_local_store(self, entry, var):
+        local = self._defer_local(entry)
+        signed = bool(entry.signed)
+        if signed:
+            # Mirror ``_write_signal`` exactly: a no-change
+            # (bits, xmask) store keeps the old value object — and
+            # its dynamic signedness (unsigned until the first
+            # changed write) — while a changed store adopts the
+            # declared signed flag.  Later reads in the same comb
+            # wave observe whichever survived.
+            if self._rhs_signed is True:
+                new = var
+            else:
+                new = (f"({var} if {var}.signed else "
+                       f"Value({var}.bits, {entry.width}, "
+                       f"{var}.xmask, True))")
+            self.emit(
+                f"{local} = {local} if ({local}.bits == {var}.bits "
+                f"and {local}.xmask == {var}.xmask) else {new}"
+            )
+        elif self._rhs_signed is False:
+            self.emit(f"{local} = {var}")
+        else:
+            self.emit(
+                f"{local} = {var} if not {var}.signed else "
+                f"Value({var}.bits, {entry.width}, {var}.xmask)"
+            )
+
+    def _emit_local_rmw(self, entry, local, rmw_expr):
+        """Structural (bit/part-select) store to a hoisted local.
+
+        ``replace_bits`` keeps the *old* value's signed flag, but the
+        engine routes these through ``_write_signal``, which adopts
+        the declared flag on a changed write and keeps the old object
+        on a no-change one — so a declared-signed target needs the
+        same change check here."""
+        if not entry.signed:
+            self.emit(f"{local} = {rmw_expr}")
+            return
+        new = self.tmp()
+        self.emit(f"{new} = {rmw_expr}")
+        self.emit(
+            f"{local} = {local} if ({local}.bits == {new}.bits and "
+            f"{local}.xmask == {new}.xmask) else "
+            f"Value({new}.bits, {entry.width}, {new}.xmask, True)"
+        )
+
+    def _after_engine_write(self, entry):
+        """Refresh the hoisted local after a generic engine write."""
+        if self.mode == "comb":
+            self.needs_running = True
+            local = self.kernel.local_for(entry)
+            self.emit(f"{local} = {self.bind(entry)}.value")
+
+    def _compile_index_store(self, target, var, deferred):
+        if not isinstance(target.base, ast.Identifier):
+            raise NotCompilable("unsupported indexed assignment target")
+        ivar = self._runtime_int(target.index)
+        entry = self.resolve_target(target.base.name)
+        if isinstance(entry, Memory):
+            if self.mode == "fn":
+                # Seq/initial memory store: the per-memory committer
+                # replaces the partial allocation and listener walk.
+                fn = self.kernel.mem_commit_fn_for(entry)
+                if deferred:
+                    self.uses.add("_nba")
+                    self.emit(f"_nba.append(({fn}, ({ivar}, {var})))")
+                else:
+                    self.emit(f"{fn}(sim, ({ivar}, {var}))")
+                return
+            mem = self.bind(entry)
+            self.uses.add("_MW")
+            self.needs_running = True
+            self.emit(f"_MW({mem}, {ivar}, {var})")
+            return
+        if isinstance(entry, Signal):
+            sig = self.bind(entry)
+            if deferred:
+                self.uses.update(("_nba", "_pt", "_SB"))
+                self.emit(f"_nba.append(_pt(_SB, {sig}, {ivar}, {var}))")
+                return
+            if self.mode == "comb" and self.kernel.defer_ok(entry):
+                local = self._defer_local(entry)
+                self.emit(f"if {ivar} is not None:")
+                self.indent += 1
+                self._emit_local_rmw(
+                    entry, local, f"{local}.replace_bits({ivar}, {var})"
+                )
+                self.indent -= 1
+                return
+            self.uses.add("_SB")
+            self.emit(f"_SB({sig}, {ivar}, {var})")
+            self._after_engine_write(entry)
+            return
+        raise NotCompilable("unsupported indexed assignment target")
 
     def _compile_concat_store(self, target, var, deferred):
         """Split a ``{a, b} = value`` store into per-part stores.
@@ -1421,7 +1511,8 @@ class ProcessCompiler:
         entry = self.resolve_target(target.base.name)
         if not isinstance(entry, Signal):
             raise NotCompilable("part-select on non-signal target")
-        sig = self.bind(entry, "S")
+        sig = self.bind(entry)
+        static = None
         if target.mode == ":":
             try:
                 msb = self.const_int(target.msb)
@@ -1430,6 +1521,7 @@ class ProcessCompiler:
                 # Run-time bounds also make the *target width* (and so
                 # the RHS context) run-time — keep it interpreted.
                 raise NotCompilable("non-constant part-select bounds")
+            static = (msb, lsb)
             hi, lo = repr(msb), repr(lsb)
         elif target.mode == "+:":
             width = self.const_int(target.lsb) or 1
@@ -1446,43 +1538,41 @@ class ProcessCompiler:
                       f"{start} - {width - 1}")
             hi = start
         if deferred:
-            self.emit(f"_sim._nba.append(_pt(_SS, {sig}, {hi}, {lo}, "
-                      f"{var}))")
-        else:
-            self.emit(f"_SS({sig}, {hi}, {lo}, {var})")
+            self.uses.update(("_nba", "_pt", "_SS"))
+            self.emit(f"_nba.append(_pt(_SS, {sig}, {hi}, {lo}, {var}))")
+            return
+        if self.mode == "comb" and self.kernel.defer_ok(entry):
+            local = self._defer_local(entry)
+            if static is not None:
+                msb, lsb = static
+                if msb is None or lsb is None:
+                    return  # x bound: _store_slice would no-op
+                # var is already resized to the slice width by
+                # _compile_assign, so _store_slice's resize is the
+                # identity and min() folds statically.
+                self._emit_local_rmw(
+                    entry, local,
+                    f"{local}.replace_bits({min(msb, lsb)}, {var})",
+                )
+                return
+            # Runtime +:/-: offset: hi is None iff lo is None, and
+            # min(hi, lo) is always the computed lo bound.
+            self.emit(f"if {lo} is not None:")
+            self.indent += 1
+            self._emit_local_rmw(
+                entry, local, f"{local}.replace_bits({lo}, {var})"
+            )
+            self.indent -= 1
+            return
+        self.uses.add("_SS")
+        self.emit(f"_SS({sig}, {hi}, {lo}, {var})")
+        self._after_engine_write(entry)
 
     # -- entry point ---------------------------------------------------------
 
     def compile_body(self):
-        """Compile just the statement list; returns the emitted lines.
-
-        Used by the fused-kernel compiler, which assembles many
-        process bodies into one generated module instead of exec'ing
-        each body separately."""
+        """Compile the statement list; returns the emitted lines (at
+        one indent level) for the kernel compiler to place."""
         for stmt in self.process.body:
             self.compile_stmt(stmt)
         return self.lines
-
-    def compile(self):
-        """Compile the whole process body; returns ``(closure, source)``."""
-        self.compile_body()
-        if not self.lines:
-            self.lines.append("    pass")
-        name = (self.process.name or self.process.kind or "proc")
-        header = f"def _proc():  # {name}\n"
-        source = header + "\n".join(self.lines)
-        exec(source, self.env)  # noqa: S102 - the whole module is codegen
-        return self.env["_proc"], source
-
-
-def compile_process(simulator, process):
-    """Compile ``process`` for ``simulator``.
-
-    Returns ``(closure, source)`` or ``(None, reason)`` when the body
-    must stay on the interpreter (the engine then falls back for this
-    one process, preserving exact run-time semantics)."""
-    try:
-        compiler = ProcessCompiler(simulator, process)
-        return compiler.compile()
-    except NotCompilable as exc:
-        return None, str(exc)

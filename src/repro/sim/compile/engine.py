@@ -19,9 +19,10 @@ execute and how combinational logic settles:
   the inherited interpreter, called from inside the fused kernel at
   their topological level;
 - designs with combinational cycles (or unresolvable write targets)
-  fall back to the previous architecture: every body compiled once
-  into a per-process closure (:mod:`repro.sim.compile.codegen`),
-  scheduled by the inherited event-driven engine.
+  do not levelize and get no kernel: every process runs on the
+  inherited interpreter under its event-driven scheduler, and
+  ``fallback_reasons`` lists each one as ``"design does not
+  levelize"``.
 
 Correctness contract: settled signal values, x-propagation, traces and
 raised errors are bit-identical to the interpreter.  The *number* of
@@ -33,14 +34,14 @@ The ``xcheck`` backend enforces the value contract at every settle.
 """
 
 from repro.sim.compile.cache import get_kernel
-from repro.sim.compile.codegen import compile_process
 from repro.sim.compile.levelize import levelize
 from repro.sim.elaborate import elaborate
 from repro.sim.engine import Simulator
 
 
 class CompiledSimulator(Simulator):
-    """Simulates an elaborated design through generated native code."""
+    """Simulates an elaborated design through its generated kernel, or
+    on the inherited interpreter when the design does not levelize."""
 
     backend_name = "compiled"
 
@@ -54,16 +55,9 @@ class CompiledSimulator(Simulator):
 
             code_coverage = CodeCoverage(design)
         self.code_coverage = code_coverage or None
-        # The untraced write path must be installed before any codegen
-        # binds self._write_signal (see Simulator.__init__).
-        if not trace:
-            self._write_signal = self._write_signal_untraced
-        self._compiled = {}        # legacy per-process closures
         self._kernel_fns = {}      # id(process) -> kernel fn(sim)
         self._kernel_ticks = {}    # clock name -> tick fn
         self._kernel_pokes = {}    # port name -> poke fn
-        self.compiled_sources = {}
-        self.fallback_reasons = {}
         self.kernel_source = None
 
         order = levelize(design)
@@ -81,32 +75,25 @@ class CompiledSimulator(Simulator):
                 self._kernel_fns[id(processes[index])] = fn
             self._kernel_ticks = kernel["ticks"]
             self._kernel_pokes = kernel["pokes"]
-            for index in kernel["compiled"]:
-                self.compiled_sources[processes[index]] = source
-            for index, reason in kernel["demoted"].items():
-                self.fallback_reasons[processes[index]] = reason
+            self.fallback_reasons = {
+                processes[index]: reason
+                for index, reason in kernel["demoted"].items()
+            }
             # Instance attribute wins over the class method: settle()
             # dispatches straight into the generated kernel.
             self.settle = kernel["settle"].__get__(self)
         else:
-            # Event-driven fallback: per-process compiled closures
-            # under the inherited worklist scheduler.
-            for process in design.processes:
-                closure, source = compile_process(self, process)
-                if closure is not None:
-                    self._compiled[id(process)] = closure
-                    self.compiled_sources[process] = source
-                else:
-                    self.fallback_reasons[process] = source
+            # No kernel: the inherited interpreter runs every process.
+            self.fallback_reasons = dict.fromkeys(
+                design.processes, "design does not levelize"
+            )
         super().__init__(design, trace=trace)
 
     # -- compile stats -------------------------------------------------------
 
     @property
     def compiled_process_count(self):
-        if self.levelized:
-            return len(self.design.processes) - len(self.fallback_reasons)
-        return len(self._compiled)
+        return len(self.design.processes) - len(self.fallback_reasons)
 
     @property
     def interpreted_process_count(self):
@@ -142,19 +129,11 @@ class CompiledSimulator(Simulator):
 
     def _run_process(self, process):
         fn = self._kernel_fns.get(id(process))
-        if fn is not None:
-            previous, self._running = self._running, process
-            try:
-                fn(self)
-            finally:
-                self._running = previous
-            return
-        closure = self._compiled.get(id(process))
-        if closure is None:
+        if fn is None:
             return super()._run_process(process)
         previous, self._running = self._running, process
         try:
-            closure()
+            fn(self)
         finally:
             self._running = previous
 

@@ -1,13 +1,12 @@
 """Whole-design kernel fusion: one generated settle()/tick() per design.
 
-The per-process codegen (:mod:`repro.sim.compile.codegen`) removed the
-tree walk but kept a Python dispatch loop between process closures:
-every ``settle()`` still paid a dict lookup, a wrapper frame and a
-generic ``_write_signal`` per store.  This module goes the rest of the
-way, Verilator-style: the levelized combinational processes are
-*inlined, in topological order, into one generated ``_settle``
-function*, and the sequential processes become sibling functions fused
-with a specialized NBA commit loop.
+Verilator-style, the levelized combinational processes are *inlined,
+in topological order, into one generated ``_settle`` function*, and
+the sequential processes become sibling functions fused with a
+specialized NBA commit loop.  Each body is lowered by
+:class:`~repro.sim.compile.codegen.ProcessCompiler`; this module
+assembles the bodies, the per-signal committers, the pokes and the
+ticks into one module.
 
 What the fused kernel specializes:
 
@@ -45,10 +44,11 @@ What the fused kernel specializes:
 Faithfulness: processes the codegen must demote (runtime-width
 selects, whatever else raises :class:`NotCompilable`) stay on the
 interpreter, called from *inside* the fused kernel at their
-topological level; designs that cannot be levelized at all (comb
-cycles, unresolvable write targets) keep the per-process compiled
-backend under event-driven scheduling.  Settled values, x-propagation
-and traces stay bit-identical to the interpreter — enforced by xcheck,
+topological level.  Designs that cannot be levelized at all (comb
+cycles, unresolvable write targets) get no kernel: they run entirely
+on the interpreter's event-driven scheduler (see
+:mod:`repro.sim.compile.engine`).  Settled values, x-propagation and
+traces stay bit-identical to the interpreter — enforced by xcheck,
 the fuzz oracle and ``ci_smoke.py``.  ``event_count`` remains
 scheduler-dependent, as documented.
 
@@ -60,364 +60,11 @@ worker process and shared by every simulator instance of that design
 (see :mod:`repro.sim.compile.cache`).
 """
 
-from repro.hdl import ast
-from repro.sim.compile.codegen import (
-    NotCompilable,
-    ProcessCompiler,
-    _ParamResolver,
-)
+from repro.sim.compile.codegen import NotCompilable, ProcessCompiler
 from repro.sim.compile.levelize import sensitivity_complete, write_set
 from repro.sim.elaborate import Signal
-from repro.sim.eval import Evaluator, Memory
+from repro.sim.eval import Memory
 from repro.sim.values import Value
-
-
-class _KernelProc(ProcessCompiler):
-    """Compiles one process body for the fused kernel.
-
-    ``mode`` is ``"comb"`` (inlined into ``_settle``: signal reads are
-    hoisted locals, stores defer to a single end-of-body commit where
-    provably safe) or ``"fn"`` (seq/initial sibling function: reads
-    are slot attributes, NBA stores append specialized tuples).
-
-    Deliberately does *not* call the base constructor: the base binds
-    live simulator helpers into an exec environment, while kernel
-    compilation is simulator-free — every object reference is emitted
-    as a bind-time or module-level assignment instead.
-    """
-
-    def __init__(self, kernel, process, mode):
-        self.kernel = kernel
-        self.process = process
-        self.scope = process.scope
-        self.nonblocking = process.kind == "seq"
-        self.mode = mode
-        self.pidx = kernel.proc_index[id(process)]
-        self.lines = []
-        self.indent = 1
-        self.counter = 0
-        self._const_folder = Evaluator(_ParamResolver(self.scope))
-        cov = kernel.cov
-        self.cov = cov if (cov is not None and process.kind != "comb") \
-            else None
-        #: id(Signal) -> (Signal, local name), insertion-ordered: the
-        #: signals this body stores via deferred locals, committed once
-        #: at the end of the inlined body.
-        self.deferred = {}
-        #: Helper bindings the emitted code needs ("_W", "_nba", ...).
-        self.uses = set()
-        if self.cov is not None:
-            self.uses.add("_cov")
-        #: True when the body makes engine-mediated writes, which
-        #: consult ``sim._running`` for self-wake suppression.
-        self.needs_running = False
-        self._rhs_signed = None
-
-    # -- plumbing overrides --------------------------------------------------
-
-    def tmp(self):
-        self.counter += 1
-        return f"_t{self.pidx}_{self.counter}"
-
-    def bind(self, obj, prefix):
-        if prefix == "K":
-            return self.kernel.bind_const(obj)
-        return self.kernel.bind_object(obj, prefix)
-
-    def scope_ref(self):
-        return self.kernel.bind_scope(self.process)
-
-    def signal_value_ref(self, entry):
-        if self.mode == "comb":
-            return self.kernel.local_for(entry)
-        return f"{self.bind(entry, 'S')}.value"
-
-    # Elaboration declares every identifier eagerly; a miss here means
-    # the interpreter would declare lazily at run time, so the process
-    # must stay interpreted to match.
-
-    def resolve_read(self, name):
-        entry = self.scope.lookup(name)
-        if entry is None:
-            raise NotCompilable(f"undeclared identifier '{name}'")
-        return entry
-
-    def resolve_target(self, name):
-        lookup = getattr(self.scope, "lookup_target", None)
-        entry = lookup(name) if lookup else self.scope.lookup(name)
-        if entry is None:
-            raise NotCompilable(f"undeclared target '{name}'")
-        return entry
-
-    # -- case: dict probe to an arm index, arms inlined ----------------------
-
-    def _compile_case_dict(self, stmt, svar, swidth, folded, default_item):
-        """Constant same-width ``case``: one dict probe mapping
-        ``(bits, xmask)`` to a small arm index, arms inlined as an
-        integer if/elif chain (arms must stay inline so they can read
-        and write the kernel's hoisted locals)."""
-        sid = (
-            self.cov.stmt_id.get(id(stmt))
-            if self.cov is not None else None
-        )
-        width = max(swidth, folded[0][0].width)
-        dispatch = {}
-        arm_of = {}
-        for value, item in folded:
-            key = (value.resize(width).bits, value.resize(width).xmask)
-            if id(item) not in arm_of:
-                arm_of[id(item)] = (len(arm_of), item)
-            # First matching label wins, like the interpreter's scan.
-            dispatch.setdefault(key, arm_of[id(item)][0])
-        table = self.kernel.bind_dispatch(dispatch)
-        sub = svar
-        if width != swidth:
-            sub = self.tmp()
-            self.emit(f"{sub} = {svar}.resize({width})")
-        sel = self.tmp()
-        self.emit(f"{sel} = {table}.get(({sub}.bits, {sub}.xmask), -1)")
-        first = True
-        for index, item in sorted(arm_of.values()):
-            self.emit(f"{'if' if first else 'elif'} {sel} == {index}:")
-            first = False
-            self.indent += 1
-            if sid is not None:
-                entry = self.cov.case_arm.get(id(item))
-                if entry is not None:
-                    self.emit(f"_CB({entry[0]!r}, {entry[1]!r})")
-            self._compile_branch(item.body)
-            self.indent -= 1
-        if default_item is not None or sid is not None:
-            self.emit("else:")
-            self.indent += 1
-            if sid is not None:
-                self.emit(f"_CB({sid!r}, 'default')")
-            if default_item is not None:
-                self._compile_branch(default_item.body)
-            self.indent -= 1
-
-    # -- stores --------------------------------------------------------------
-
-    def _compile_assign(self, stmt):
-        # Statically-known RHS signedness lets the deferred store skip
-        # its per-store normalization guard (the engine's
-        # ``_write_signal`` normalizes signedness; deferred locals
-        # must match because later reads see them).
-        try:
-            self._rhs_signed = self.static_signed(stmt.value)
-        except NotCompilable:
-            self._rhs_signed = None
-        super()._compile_assign(stmt)
-
-    def _defer_local(self, entry):
-        local = self.kernel.local_for(entry)
-        self.deferred.setdefault(id(entry), (entry, local))
-        return local
-
-    def _emit_local_store(self, entry, var):
-        local = self._defer_local(entry)
-        signed = bool(entry.signed)
-        if signed:
-            # Mirror ``_write_signal`` exactly: a no-change
-            # (bits, xmask) store keeps the old value object — and
-            # its dynamic signedness (unsigned until the first
-            # changed write) — while a changed store adopts the
-            # declared signed flag.  Later reads in the same comb
-            # wave observe whichever survived.
-            if self._rhs_signed is True:
-                new = var
-            else:
-                new = (f"({var} if {var}.signed else "
-                       f"Value({var}.bits, {entry.width}, "
-                       f"{var}.xmask, True))")
-            self.emit(
-                f"{local} = {local} if ({local}.bits == {var}.bits "
-                f"and {local}.xmask == {var}.xmask) else {new}"
-            )
-        elif self._rhs_signed is False:
-            self.emit(f"{local} = {var}")
-        else:
-            self.emit(
-                f"{local} = {var} if not {var}.signed else "
-                f"Value({var}.bits, {entry.width}, {var}.xmask)"
-            )
-
-    def _emit_local_rmw(self, entry, local, rmw_expr):
-        """Structural (bit/part-select) store to a hoisted local.
-
-        ``replace_bits`` keeps the *old* value's signed flag, but the
-        engine routes these through ``_write_signal``, which adopts
-        the declared flag on a changed write and keeps the old object
-        on a no-change one — so a declared-signed target needs the
-        same change check here."""
-        if not entry.signed:
-            self.emit(f"{local} = {rmw_expr}")
-            return
-        new = self.tmp()
-        self.emit(f"{new} = {rmw_expr}")
-        self.emit(
-            f"{local} = {local} if ({local}.bits == {new}.bits and "
-            f"{local}.xmask == {new}.xmask) else "
-            f"Value({new}.bits, {entry.width}, {new}.xmask, True)"
-        )
-
-    def _after_engine_write(self, entry):
-        """Refresh the hoisted local after a generic engine write."""
-        if self.mode == "comb":
-            self.needs_running = True
-            local = self.kernel.local_for(entry)
-            self.emit(f"{local} = {self.bind(entry, 'S')}.value")
-
-    def _compile_store(self, target, var, deferred):
-        if isinstance(target, ast.Identifier):
-            entry = self.resolve_target(target.name)
-            if isinstance(entry, Signal):
-                if deferred:
-                    self.uses.add("_nba")
-                    self.emit(f"_nba.append(("
-                              f"{self.kernel.commit_fn_for(entry)}, "
-                              f"{var}))")
-                    return
-                if self.mode == "comb":
-                    if self.kernel.defer_ok(entry):
-                        self._emit_local_store(entry, var)
-                        return
-                    self.uses.add("_W")
-                    self.emit(f"_W({self.bind(entry, 'S')}, {var})")
-                    self._after_engine_write(entry)
-                    return
-                # Seq/initial blocking store: the per-signal committer
-                # is exact (seq processes are never comb listeners, so
-                # no self-wake suppression is needed).
-                self.emit(f"{self.kernel.commit_fn_for(entry)}"
-                          f"(sim, {var})")
-                return
-            if isinstance(entry, Memory):
-                raise NotCompilable(
-                    f"cannot assign whole memory '{target.name}'"
-                )
-            return  # parameter target: a lint-caught no-op
-        if isinstance(target, ast.Index):
-            self._compile_index_store(target, var, deferred)
-            return
-        if isinstance(target, ast.PartSelect):
-            self._compile_part_select_store(target, var, deferred)
-            return
-        if isinstance(target, ast.Concat):
-            # The split pieces are constructed unsigned regardless of
-            # the whole RHS's signedness — the deferred-store
-            # normalization guard must see that, not the outer RHS.
-            self._rhs_signed = False
-            self._compile_concat_store(target, var, deferred)
-            return
-        raise NotCompilable(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
-    def _compile_index_store(self, target, var, deferred):
-        if not isinstance(target.base, ast.Identifier):
-            raise NotCompilable("unsupported indexed assignment target")
-        ivar = self._runtime_int(target.index)
-        entry = self.resolve_target(target.base.name)
-        if isinstance(entry, Memory):
-            if self.mode == "fn":
-                # Seq/initial memory store: the per-memory committer
-                # replaces the partial allocation and listener walk.
-                fn = self.kernel.mem_commit_fn_for(entry)
-                if deferred:
-                    self.uses.add("_nba")
-                    self.emit(f"_nba.append(({fn}, ({ivar}, {var})))")
-                else:
-                    self.emit(f"{fn}(sim, ({ivar}, {var}))")
-                return
-            mem = self.bind(entry, "M")
-            self.uses.add("_MW")
-            self.needs_running = True
-            self.emit(f"_MW({mem}, {ivar}, {var})")
-            return
-        if isinstance(entry, Signal):
-            sig = self.bind(entry, "S")
-            if deferred:
-                self.uses.update(("_nba", "_pt", "_SB"))
-                self.emit(f"_nba.append(_pt(_SB, {sig}, {ivar}, {var}))")
-                return
-            if self.mode == "comb" and self.kernel.defer_ok(entry):
-                local = self._defer_local(entry)
-                self.emit(f"if {ivar} is not None:")
-                self.indent += 1
-                self._emit_local_rmw(
-                    entry, local, f"{local}.replace_bits({ivar}, {var})"
-                )
-                self.indent -= 1
-                return
-            self.uses.add("_SB")
-            self.emit(f"_SB({sig}, {ivar}, {var})")
-            self._after_engine_write(entry)
-            return
-        raise NotCompilable("unsupported indexed assignment target")
-
-    def _compile_part_select_store(self, target, var, deferred):
-        if not isinstance(target.base, ast.Identifier):
-            raise NotCompilable("unsupported part-select target")
-        entry = self.resolve_target(target.base.name)
-        if not isinstance(entry, Signal):
-            raise NotCompilable("part-select on non-signal target")
-        sig = self.bind(entry, "S")
-        static = None
-        if target.mode == ":":
-            try:
-                msb = self.const_int(target.msb)
-                lsb = self.const_int(target.lsb)
-            except NotCompilable:
-                # Run-time bounds also make the *target width* (and so
-                # the RHS context) run-time — keep it interpreted.
-                raise NotCompilable("non-constant part-select bounds")
-            static = (msb, lsb)
-            hi, lo = repr(msb), repr(lsb)
-        elif target.mode == "+:":
-            width = self.const_int(target.lsb) or 1
-            start = self._runtime_int(target.msb)
-            hi = self.tmp()
-            self.emit(f"{hi} = None if {start} is None else "
-                      f"{start} + {width - 1}")
-            lo = start
-        else:  # "-:"
-            width = self.const_int(target.lsb) or 1
-            start = self._runtime_int(target.msb)
-            lo = self.tmp()
-            self.emit(f"{lo} = None if {start} is None else "
-                      f"{start} - {width - 1}")
-            hi = start
-        if deferred:
-            self.uses.update(("_nba", "_pt", "_SS"))
-            self.emit(f"_nba.append(_pt(_SS, {sig}, {hi}, {lo}, {var}))")
-            return
-        if self.mode == "comb" and self.kernel.defer_ok(entry):
-            local = self._defer_local(entry)
-            if static is not None:
-                msb, lsb = static
-                if msb is None or lsb is None:
-                    return  # x bound: _store_slice would no-op
-                # var is already resized to the slice width by
-                # _compile_assign, so _store_slice's resize is the
-                # identity and min() folds statically.
-                self._emit_local_rmw(
-                    entry, local,
-                    f"{local}.replace_bits({min(msb, lsb)}, {var})",
-                )
-                return
-            # Runtime +:/-: offset: hi is None iff lo is None, and
-            # min(hi, lo) is always the computed lo bound.
-            self.emit(f"if {lo} is not None:")
-            self.indent += 1
-            self._emit_local_rmw(
-                entry, local, f"{local}.replace_bits({lo}, {var})"
-            )
-            self.indent -= 1
-            return
-        self.uses.add("_SS")
-        self.emit(f"_SS({sig}, {hi}, {lo}, {var})")
-        self._after_engine_write(entry)
 
 
 class KernelCompiler:
@@ -462,7 +109,7 @@ class KernelCompiler:
         self._counts[prefix] = n + 1
         return f"{prefix}{n}"
 
-    def bind_object(self, obj, prefix):
+    def bind_object(self, obj):
         name = self._bound.get(id(obj))
         if name is not None:
             return name
@@ -529,7 +176,7 @@ class KernelCompiler:
         if entry is None:
             local = f"v{len(self._hoisted)}"
             entry = self._hoisted[id(signal)] = (
-                local, self.bind_object(signal, "S")
+                local, self.bind_object(signal)
             )
         return entry[0]
 
@@ -588,7 +235,7 @@ class KernelCompiler:
         pc.indent -= 1
 
     def _emit_commit(self, pc, process, signal, local):
-        slot = self.bind_object(signal, "S")
+        slot = self.bind_object(signal)
         old = pc.tmp()
         pc.emit(f"{old} = {slot}.value")
         pc.emit(f"if {local}.bits != {old}.bits or "
@@ -610,7 +257,7 @@ class KernelCompiler:
     # -- per-process compilation ---------------------------------------------
 
     def _compile_comb(self, process):
-        pc = _KernelProc(self, process, "comb")
+        pc = ProcessCompiler(self, process, "comb")
         pc.compile_body()
         for signal, local in pc.deferred.values():
             self._emit_commit(pc, process, signal, local)
@@ -620,7 +267,7 @@ class KernelCompiler:
         return pc.lines, pc.needs_running
 
     def _compile_fn(self, process):
-        pc = _KernelProc(self, process, "fn")
+        pc = ProcessCompiler(self, process, "fn")
         body = pc.compile_body()
         index = self.proc_index[id(process)]
         name = f"_fn{index}"
@@ -844,26 +491,36 @@ class KernelCompiler:
         def emit(indent, text):
             lines.append("    " * indent + text)
 
-        slot = self.bind_object(signal, "S")
+        slot = self.bind_object(signal)
         width = signal.width
         signed = bool(signal.signed)
-        comb_levels = sorted({
-            self.level_of[id(p)] for p in signal.comb_listeners
-        })
         emit(0, f"def {name}(sim, _v):")
         emit(1, f"if _v.width != {width} or _v.signed != {signed}:")
         emit(2, f"_v = _v.resize({width}, {signed})")
         emit(1, f"_old = {slot}.value")
         emit(1, "if _old.bits == _v.bits and _old.xmask == _v.xmask:")
         emit(2, "return")
+        self._emit_store_tail(lines, slot, signal)
+        return lines
+
+    def _emit_store_tail(self, lines, slot, signal):
+        """The changed-value tail that committers and pokes share,
+        mirroring ``_write_signal`` for the new value ``_v`` replacing
+        ``_old``: slot store, event count, trace append, static comb
+        wake-ups, then the edge scan in listener-list order."""
+
+        def emit(indent, text):
+            lines.append("    " * indent + text)
+
         emit(1, f"{slot}.value = _v")
         emit(1, "sim.event_count += 1")
         if self.trace:
             emit(1, "_tr = sim.trace")
             emit(1, "_t = sim.time")
-            pc = _TickEmitter(lines, 1)
-            self._emit_trace(pc, signal.name, "_v")
-        for level in comb_levels:
+            self._emit_trace(_TickEmitter(lines, 1), signal.name, "_v")
+        for level in sorted({
+            self.level_of[id(p)] for p in signal.comb_listeners
+        }):
             emit(1, f"sim._dirty[{level}] = 1")
         if signal.edge_listeners:
             emit(1, "_ob = None if _old.xmask & 1 else _old.bits & 1")
@@ -880,7 +537,6 @@ class KernelCompiler:
                 emit(2, f"if id({pname}) not in _cs:")
                 emit(3, f"_cs.add(id({pname}))")
                 emit(3, f"sim._clocked.append({pname})")
-        return lines
 
     def mem_commit_fn_for(self, memory):
         """Name of the generated memory committer ``_nm{i}(sim, (i, v))``.
@@ -904,7 +560,7 @@ class KernelCompiler:
         def emit(indent, text):
             lines.append("    " * indent + text)
 
-        slot = self.bind_object(memory, "M")
+        slot = self.bind_object(memory)
         lo, hi, width = memory.lo, memory.hi, memory.width
         offset = f" - {lo}" if lo else ""
         emit(0, f"def {name}(sim, _a):")
@@ -946,12 +602,9 @@ class KernelCompiler:
         def emit(indent, text):
             lines.append("    " * indent + text)
 
-        slot = self.bind_object(signal, "S")
+        slot = self.bind_object(signal)
         width = signal.width
         signed = bool(signal.signed)
-        comb_levels = sorted({
-            self.level_of[id(p)] for p in signal.comb_listeners
-        })
         emit(0, f"_pc{index} = {{}}")
         emit(0, f"def _poke_{index}(sim, value):")
         emit(1, f"_old = {slot}.value")
@@ -968,30 +621,7 @@ class KernelCompiler:
         emit(3, f"_v = _v.resize({width}, {signed})")
         emit(2, "if _old.bits == _v.bits and _old.xmask == _v.xmask:")
         emit(3, "return")
-        emit(1, f"{slot}.value = _v")
-        emit(1, "sim.event_count += 1")
-        if self.trace:
-            emit(1, "_tr = sim.trace")
-            emit(1, "_t = sim.time")
-            pc = _TickEmitter(lines, 1)
-            self._emit_trace(pc, signal.name, "_v")
-        for level in comb_levels:
-            emit(1, f"sim._dirty[{level}] = 1")
-        if signal.edge_listeners:
-            emit(1, "_ob = None if _old.xmask & 1 else _old.bits & 1")
-            emit(1, "_nb = None if _v.xmask & 1 else _v.bits & 1")
-            emit(1, "_cs = sim._clocked_set")
-            for edge, process in signal.edge_listeners:
-                pname = self.bind_process(process)
-                if edge == "posedge":
-                    emit(1, "if _nb == 1 and _ob != 1:")
-                elif edge == "negedge":
-                    emit(1, "if _nb == 0 and _ob != 0:")
-                else:
-                    emit(1, "if True:")
-                emit(2, f"if id({pname}) not in _cs:")
-                emit(3, f"_cs.add(id({pname}))")
-                emit(3, f"sim._clocked.append({pname})")
+        self._emit_store_tail(lines, slot, signal)
         return lines
 
     # -- tick ----------------------------------------------------------------
@@ -1020,7 +650,7 @@ class KernelCompiler:
         zero = self.bind_const(
             Value(0, signal.width, 0, bool(signal.signed))
         )
-        slot = self.bind_object(signal, "S")
+        slot = self.bind_object(signal)
         comb_levels = sorted({
             self.level_of[id(p)] for p in signal.comb_listeners
         })

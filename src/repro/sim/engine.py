@@ -58,9 +58,7 @@ class Simulator:
         if not trace:
             # Opt-out must be cheap: swap in a write path with no
             # canonical-trace bookkeeping at all (no per-write flag
-            # tests), instead of recording-and-discarding.  Subclasses
-            # that bind self._write_signal during codegen install the
-            # same alias before their compile step runs.
+            # tests), instead of recording-and-discarding.
             self._write_signal = self._write_signal_untraced
         self.trace = {}
         self.event_count = 0

@@ -4,12 +4,17 @@ running *inside* the kernel at their topological level, flattened
 hierarchy equivalence, and the cross-run compilation cache (memo,
 disk persistence, version/signature invalidation)."""
 
+import hashlib
+
 import pytest
 
+from repro.bench.registry import all_modules
+from repro.cover.code import CodeCoverage
 from repro.runner.report import format_progress
 from repro.runner.scheduler import CampaignRunner
 from repro.sim.compile import cache as kernel_cache
 from repro.sim.compile.engine import CompiledSimulator
+from repro.sim.compile.kernel import build_kernel_source
 from repro.sim.compile.levelize import levelize, sensitivity_complete
 from repro.sim.elaborate import design_fingerprint, elaborate
 from repro.sim.engine import Simulator
@@ -332,6 +337,24 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert sim.get_int("q") == 9  # disk-loaded kernel actually works
 
 
+def test_disk_store_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A failed rename (say, a full disk) must neither fail the run
+    nor leave the temp file behind in the store."""
+    store = tmp_path / "compiled"
+    monkeypatch.setattr(kernel_cache, "_disk_dir", str(store))
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(kernel_cache.os, "replace", full_disk)
+    sim = CompiledSimulator(elaborate(CACHED_DUT))
+    assert kernel_cache.stats()["compiled"] == 1
+    assert list(store.iterdir()) == []
+    sim.poke("a", 9)
+    sim.tick()
+    assert sim.get_int("q") == 9
+
+
 def _build_cached_dut(_unit):
     CompiledSimulator(elaborate(CACHED_DUT))
     return {"ok": True}
@@ -359,9 +382,9 @@ def test_progress_line_surfaces_kernel_cache():
     assert "kernels" not in quiet
 
 
-# -- fused kernel still falls back safely ------------------------------------
+# -- a design that does not levelize runs on the interpreter -----------------
 
-def test_comb_cycle_still_uses_per_process_fallback():
+def test_comb_cycle_runs_on_interpreter():
     source = """
 module loop(input a, output y);
     wire p, q;
@@ -375,9 +398,53 @@ endmodule
     sim = CompiledSimulator(design)
     assert not sim.levelized
     assert sim.kernel_source is None
-    assert sim.compiled_process_count == 3  # legacy closures still used
+    assert sim.compiled_process_count == 0
+    assert set(sim.fallback_reasons) == set(design.processes)
+    assert set(sim.fallback_reasons.values()) == {
+        "design does not levelize"
+    }
     ref = Simulator(elaborate(source))
     for value in (0, 1, 0, 1):
         sim.set("a", value)
         ref.set("a", value)
         assert sim.get("y") == ref.get("y")
+        # Modelled seconds are charged on these, so they must match
+        # the reference engine exactly, not just the settled values.
+        assert sim.event_count == ref.event_count
+        assert sim.time == ref.time
+        assert sim.trace == ref.trace
+
+
+# -- generated output is pinned to CODEGEN_VERSION ---------------------------
+
+#: sha256 over the 108 generated kernels of the golden benches (see
+#: the test below), per CODEGEN_VERSION.
+KERNEL_DIGESTS = {
+    2: "1215137a3e4e1207b7ebd29a35f5871a39d22e767b2b2656a1e47fe8c727a03b",
+}
+
+
+def test_kernel_output_pinned_to_codegen_version():
+    """Generated kernels change only with a CODEGEN_VERSION bump.
+
+    On-disk kernel stores are keyed by the version, so output that
+    changes without a bump would let a warm ``<cache-dir>/compiled/``
+    hand back stale kernels."""
+    digest = hashlib.sha256()
+    for bench in sorted(all_modules(), key=lambda b: b.name):
+        design = elaborate(bench.source, top=bench.top)
+        for trace in (True, False):
+            for coverage in (None, CodeCoverage(design)):
+                source = build_kernel_source(
+                    design, levelize(design), trace=trace,
+                    coverage=coverage,
+                    codegen_version=kernel_cache.CODEGEN_VERSION,
+                )
+                digest.update(source.encode())
+    assert digest.hexdigest() == KERNEL_DIGESTS.get(
+        kernel_cache.CODEGEN_VERSION
+    ), (
+        "generated kernel output changed: bump "
+        "repro.sim.compile.cache.CODEGEN_VERSION and pin the new "
+        f"digest {digest.hexdigest()} under it in KERNEL_DIGESTS"
+    )
