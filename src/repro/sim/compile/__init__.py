@@ -1,7 +1,9 @@
 """Compiled simulation: whole-design kernel fusion + codegen.
 
 See :mod:`repro.sim.compile.engine` for the backend entry point,
-:mod:`repro.sim.compile.kernel` for the fused settle/tick generator,
+:mod:`repro.sim.compile.kernel` for the fused settle generator,
+:mod:`repro.sim.compile.runtime` for the pokes, ticks and committers
+its ``bind()`` builds,
 :mod:`repro.sim.compile.cache` for the cross-run compilation cache,
 and :mod:`repro.sim.backend` for selection (``interp``/``compiled``/
 ``xcheck``).

@@ -16,8 +16,10 @@ levels:
   configured, generated sources persist under
   ``<cache-dir>/compiled/<key>.py``, so warm re-runs (and sibling
   worker processes, and future campaigns over the same designs) skip
-  codegen entirely and only pay one ``compile()+exec()`` per design
-  per process.
+  codegen entirely.  Each process still pays one ``compile()+exec()``
+  per design, of source that holds only the design's constants,
+  ``_settle`` and process bodies: pokes, ticks and committers are
+  built from :mod:`repro.sim.compile.runtime` by each ``bind()``.
 
 Keying is *content-based and sound*: the fingerprint hashes every
 process body (full AST), resolved parameter values, signal/memory
@@ -45,7 +47,7 @@ from repro.sim.elaborate import design_fingerprint
 #: Bump whenever the generated kernel source changes shape or
 #: semantics: the key folds it in, so old memo entries and on-disk
 #: sources become unreachable instead of being rebound incorrectly.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: Per-worker memo bound (kernel modules retained at once).
 MEMO_LIMIT = 256

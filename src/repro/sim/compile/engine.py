@@ -9,11 +9,13 @@ execute and how combinational logic settles:
 - when the design levelizes (:mod:`repro.sim.compile.levelize`), the
   whole design is fused into one generated ``settle()`` kernel — comb
   processes inlined in topological order over hoisted signal slots —
-  plus sibling seq/initial functions and per-clock ``tick()`` kernels
-  (:mod:`repro.sim.compile.kernel`).  The generated module is shared
-  across simulator instances and across runs through the compilation
-  cache (:mod:`repro.sim.compile.cache`): each distinct design is
-  compiled once per campaign, not once per work unit;
+  plus sibling seq/initial functions (:mod:`repro.sim.compile.kernel`);
+  its ``bind()`` builds the per-port pokes, per-clock ticks and
+  per-signal committers from :mod:`repro.sim.compile.runtime`.
+  The generated module is shared across simulator instances and
+  across runs through the compilation cache
+  (:mod:`repro.sim.compile.cache`): each distinct design is compiled
+  once per campaign, not once per work unit;
 - process bodies the codegen cannot prove faithful (runtime-width
   part selects, whole-memory stores, ...) are *demoted*: they stay on
   the inherited interpreter, called from inside the fused kernel at

@@ -1,12 +1,16 @@
-"""Whole-design kernel fusion: one generated settle()/tick() per design.
+"""Whole-design kernel fusion: one generated settle() per design.
 
 Verilator-style, the levelized combinational processes are *inlined,
 in topological order, into one generated ``_settle`` function*, and
-the sequential processes become sibling functions fused with a
-specialized NBA commit loop.  Each body is lowered by
-:class:`~repro.sim.compile.codegen.ProcessCompiler`; this module
-assembles the bodies, the per-signal committers, the pokes and the
-ticks into one module.
+the sequential processes become sibling functions.  Each body is
+lowered by :class:`~repro.sim.compile.codegen.ProcessCompiler`; this
+module assembles the bodies into one module.  Generated source holds
+only what differs between designs — module constants, the
+``bind(design)`` prologue, ``_settle`` and the seq/initial bodies.
+The design-independent parts (pokes, ticks, committers, the trace
+append and ``_settle``'s clocked and NBA regions) are ordinary Python
+in :mod:`repro.sim.compile.runtime`, which ``bind()`` specializes with
+one factory call per port, clocked signal and committer.
 
 What the fused kernel specializes:
 
@@ -31,15 +35,14 @@ What the fused kernel specializes:
   hierarchy into one process list, so pure-comb leaf instances and
   their port binds inline into the parent kernel like any other comb
   process;
-- **specialized NBA commit** — non-blocking whole-signal assignments
-  append cheap ``(signal, value)`` tuples instead of allocating
-  ``functools.partial`` objects; the generated commit loop
+- **specialized NBA commit** — non-blocking whole-signal and memory
+  assignments append cheap ``(committer, value)`` tuples instead of
+  allocating ``functools.partial`` objects; the NBA region
   fast-paths them (callables from demoted interpreter processes
   still work);
-- **generated tick()** — one function per clocked signal fusing the
-  edge commit (static posedge/negedge/anyedge listener sets), the
-  settle sweep, and the statically-decided falling-edge settle
-  elision.
+- **bound tick()** — one per clocked signal, fusing the edge commit
+  (static posedge/negedge/anyedge listener sets), the settle sweep,
+  and the statically-decided falling-edge settle elision.
 
 Faithfulness: processes the codegen must demote (runtime-width
 selects, whatever else raises :class:`NotCompilable`) stay on the
@@ -57,22 +60,22 @@ scopes and processes are rebound by name/index in a ``bind(design)``
 prologue, and constants are materialized at module level — so one
 generated source is compiled and ``exec``'d once per design per
 worker process and shared by every simulator instance of that design
-(see :mod:`repro.sim.compile.cache`).
+(see :mod:`repro.sim.compile.cache`); each ``bind()`` builds that
+instance's runtime closures.
 """
 
 from repro.sim.compile.codegen import NotCompilable, ProcessCompiler
 from repro.sim.compile.levelize import sensitivity_complete, write_set
 from repro.sim.elaborate import Signal
 from repro.sim.eval import Memory
-from repro.sim.values import Value
 
 
 class KernelCompiler:
     """Generates the fused-kernel module source for one design.
 
-    The output of :meth:`build` is a self-contained Python module
-    defining ``bind(design)``; binding a (fresh elaboration of the
-    same) design returns the kernel entry points.  See the module
+    The output of :meth:`build` is a Python module defining
+    ``bind(design)``; binding a (fresh elaboration of the same) design
+    returns the kernel entry points.  See the module
     docstring for the structure and the faithfulness argument.
     """
 
@@ -95,9 +98,8 @@ class KernelCompiler:
         self.uses = set()        # helpers _settle itself needs
         self.fn_names = {}       # process index -> generated fn name
         self.fn_defs = []        # rendered seq/initial function blocks
-        self._commit_fns = {}    # id(Signal) -> committer fn name
-        self._mem_commit_fns = {}  # id(Memory) -> committer fn name
-        self.commit_defs = []    # rendered per-signal/memory committers
+        self._commit_fns = {}    # id(Signal | Memory) -> committer name
+        self.commit_lines = []   # committer factory calls, in bind()
         self.demoted = {}        # process index -> reason
         self.compiled = []       # process indices compiled into kernel
         self.any_running = False
@@ -206,33 +208,7 @@ class KernelCompiler:
             self._defer[id(signal)] = flag
         return flag
 
-    # -- commit / trace emission ---------------------------------------------
-
-    def _emit_trace(self, pc, name, value_ref, time_ref="_t"):
-        """Canonical value-change trace append, mirroring
-        ``Simulator._write_signal`` exactly (same-time collapse and
-        no-change glitch drop included)."""
-        h = pc.tmp()
-        pc.emit(f"{h} = _tr.get({name!r})")
-        pc.emit(f"if {h} is None:")
-        pc.indent += 1
-        pc.emit(f"{h} = _tr[{name!r}] = []")
-        pc.indent -= 1
-        pc.emit(f"if {h} and {h}[-1][0] == {time_ref}:")
-        pc.indent += 1
-        pc.emit(f"if len({h}) > 1 and {h}[-2][1] == {value_ref}:")
-        pc.indent += 1
-        pc.emit(f"{h}.pop()")
-        pc.indent -= 1
-        pc.emit("else:")
-        pc.indent += 1
-        pc.emit(f"{h}[-1] = ({time_ref}, {value_ref})")
-        pc.indent -= 1
-        pc.indent -= 1
-        pc.emit("else:")
-        pc.indent += 1
-        pc.emit(f"{h}.append(({time_ref}, {value_ref}))")
-        pc.indent -= 1
+    # -- comb commit ---------------------------------------------------------
 
     def _emit_commit(self, pc, process, signal, local):
         slot = self.bind_object(signal)
@@ -244,7 +220,7 @@ class KernelCompiler:
         pc.emit(f"{slot}.value = {local}")
         pc.emit("ec += 1")
         if self.trace:
-            self._emit_trace(pc, signal.name, local)
+            pc.emit(f"_ta(_tr, {signal.name!r}, _t, {local})")
         levels = sorted({
             self.level_of[id(listener)]
             for listener in signal.comb_listeners
@@ -318,8 +294,8 @@ class KernelCompiler:
                 self.demoted[self.proc_index[id(process)]] = str(exc)
 
         settle = self._render_settle(blocks)
-        ticks = self._render_ticks()
-        pokes = self._render_pokes()
+        ticks = self._tick_calls()
+        pokes = self._poke_calls()
 
         out = [
             '"""Generated fused simulation kernel '
@@ -331,6 +307,7 @@ class KernelCompiler:
             '"""',
             "from functools import partial as _pt",
             "",
+            "from repro.sim.compile import runtime as _rt",
             "from repro.sim.engine import SimulationError, _MAX_DELTAS",
             "from repro.sim.values import Value",
             "",
@@ -343,10 +320,8 @@ class KernelCompiler:
         out.append("    _memories = design.memories")
         out.append("    _procs = design.processes")
         out.extend("    " + line for line in self.bind_lines)
+        out.extend("    " + line for line in self.commit_lines)
         out.append("")
-        for commit_lines in self.commit_defs:
-            out.extend("    " + line for line in commit_lines)
-            out.append("")
         for fn_lines in self.fn_defs:
             out.extend("    " + line for line in fn_lines)
             out.append("")
@@ -358,22 +333,13 @@ class KernelCompiler:
         out.append("")
         out.extend("    " + line for line in settle)
         out.append("")
-        for tick_lines in ticks.values():
-            out.extend("    " + line for line in tick_lines)
-            out.append("")
-        for poke_lines in pokes.values():
-            out.extend("    " + line for line in poke_lines)
-            out.append("")
-        tick_map = ", ".join(
-            f"{name!r}: _tick_{i}" for i, name in enumerate(ticks)
-        )
-        poke_map = ", ".join(
-            f"{name!r}: _poke_{i}" for i, name in enumerate(pokes)
-        )
         out.append("    return {")
         out.append("        'settle': _settle,")
-        out.append(f"        'ticks': {{{tick_map}}},")
-        out.append(f"        'pokes': {{{poke_map}}},")
+        for kind, calls in (("ticks", ticks), ("pokes", pokes)):
+            out.append(f"        {kind!r}: {{")
+            out.extend(f"            {name!r}: {call},"
+                       for name, call in calls.items())
+            out.append("        },")
         out.append("        'fns': {" + ", ".join(
             f"{index}: {name}"
             for index, name in sorted(self.fn_names.items())
@@ -403,6 +369,7 @@ class KernelCompiler:
         if self.trace:
             emit(1, "_tr = sim.trace")
             emit(1, "_t = sim.time")
+            emit(1, "_ta = _rt.trace_append")
         emit(1, "ec = 0")
         emit(1, "deltas = 0")
         emit(1, "try:")
@@ -440,24 +407,8 @@ class KernelCompiler:
                     emit(4, line)  # body lines carry one indent level
                 if needs_running:
                     emit(5, "sim._running = None")
-        emit(3, "if sim._clocked:")
-        emit(4, "_cl = sim._clocked")
-        emit(4, "sim._clocked = []")
-        emit(4, "sim._clocked_set.clear()")
-        emit(4, "for _p in _cl:")
-        emit(5, "_f = _fid.get(id(_p))")
-        emit(5, "if _f is not None:")
-        emit(6, "_f(sim)")
-        emit(5, "else:")
-        emit(6, "sim._run_process(_p)")
-        emit(3, "if 1 not in d and sim._nba:")
-        emit(4, "_u = sim._nba")
-        emit(4, "sim._nba = []")
-        emit(4, "for _e in _u:")
-        emit(5, "if type(_e) is tuple:")
-        emit(6, "_e[0](sim, _e[1])")
-        emit(5, "else:")
-        emit(6, "_e()")
+        emit(3, "if sim._clocked or sim._nba:")
+        emit(4, "_rt.run_regions(sim, _fid)")
         emit(3, "if 1 not in d and not sim._clocked and not sim._nba:")
         emit(4, "return")
         emit(1, "finally:")
@@ -466,262 +417,79 @@ class KernelCompiler:
         emit(2, "sim.event_count += ec")
         return lines
 
-    # -- per-signal write committers -----------------------------------------
+    # -- runtime factory calls ---------------------------------------------
+
+    def _levels(self, obj):
+        """The sorted levels of ``obj``'s comb listeners, as a literal."""
+        return repr(tuple(sorted({
+            self.level_of[id(p)] for p in obj.comb_listeners
+        })))
+
+    def _edges(self, signal):
+        """``signal``'s edge listeners in list order, as the runtime's
+        ``((fires_at, process), ...)`` literal."""
+        fires_at = {"posedge": "1", "negedge": "0", "anyedge": "None"}
+        items = [f"({fires_at[edge]}, {self.bind_process(process)})"
+                 for edge, process in signal.edge_listeners]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+    def _signal_args(self, signal):
+        """A write's or tick's leading factory arguments: slot, width,
+        signedness, listener levels, edges and the trace flag."""
+        return (f"{self.bind_object(signal)}, {signal.width}, "
+                f"{bool(signal.signed)}, {self._levels(signal)}, "
+                f"{self._edges(signal)}, {self.trace}")
 
     def commit_fn_for(self, signal):
-        """Name of the generated per-signal committer ``_nc{i}(sim, v)``.
-
-        Seq/initial whole-signal stores (blocking and NBA) route
-        through it: the engine's generic write — listener walk,
-        scheduler call, per-listener level lookup — collapses to a
-        change check plus statically-known dirty marks and edge scans.
+        """Name of the per-signal committer ``_nc{i}(sim, v)`` that
+        seq/initial whole-signal stores (blocking and NBA) call: the
+        engine's listener walk and scheduler call collapse to static
+        dirty marks and edge scans (:func:`runtime.make_write`).
         Never used from comb bodies (their self-wake suppression needs
-        ``sim._running``, which this path skips by construction).
-        """
+        ``sim._running``, which this path skips by construction)."""
         name = self._commit_fns.get(id(signal))
         if name is None:
-            name = f"_nc{len(self._commit_fns)}"
-            self._commit_fns[id(signal)] = name
-            self.commit_defs.append(self._render_commit_fn(name, signal))
-        return name
-
-    def _render_commit_fn(self, name, signal):
-        lines = []
-
-        def emit(indent, text):
-            lines.append("    " * indent + text)
-
-        slot = self.bind_object(signal)
-        width = signal.width
-        signed = bool(signal.signed)
-        emit(0, f"def {name}(sim, _v):")
-        emit(1, f"if _v.width != {width} or _v.signed != {signed}:")
-        emit(2, f"_v = _v.resize({width}, {signed})")
-        emit(1, f"_old = {slot}.value")
-        emit(1, "if _old.bits == _v.bits and _old.xmask == _v.xmask:")
-        emit(2, "return")
-        self._emit_store_tail(lines, slot, signal)
-        return lines
-
-    def _emit_store_tail(self, lines, slot, signal):
-        """The changed-value tail that committers and pokes share,
-        mirroring ``_write_signal`` for the new value ``_v`` replacing
-        ``_old``: slot store, event count, trace append, static comb
-        wake-ups, then the edge scan in listener-list order."""
-
-        def emit(indent, text):
-            lines.append("    " * indent + text)
-
-        emit(1, f"{slot}.value = _v")
-        emit(1, "sim.event_count += 1")
-        if self.trace:
-            emit(1, "_tr = sim.trace")
-            emit(1, "_t = sim.time")
-            self._emit_trace(_TickEmitter(lines, 1), signal.name, "_v")
-        for level in sorted({
-            self.level_of[id(p)] for p in signal.comb_listeners
-        }):
-            emit(1, f"sim._dirty[{level}] = 1")
-        if signal.edge_listeners:
-            emit(1, "_ob = None if _old.xmask & 1 else _old.bits & 1")
-            emit(1, "_nb = None if _v.xmask & 1 else _v.bits & 1")
-            emit(1, "_cs = sim._clocked_set")
-            for edge, process in signal.edge_listeners:
-                pname = self.bind_process(process)
-                if edge == "posedge":
-                    emit(1, "if _nb == 1 and _ob != 1:")
-                elif edge == "negedge":
-                    emit(1, "if _nb == 0 and _ob != 0:")
-                else:
-                    emit(1, "if True:")
-                emit(2, f"if id({pname}) not in _cs:")
-                emit(3, f"_cs.add(id({pname}))")
-                emit(3, f"sim._clocked.append({pname})")
-
-    def mem_commit_fn_for(self, memory):
-        """Name of the generated memory committer ``_nm{i}(sim, (i, v))``.
-
-        Replaces the ``functools.partial(_MW, ...)`` allocation per
-        seq memory write with a tuple append, and the listener walk
-        with static dirty marks.  Like the signal committers, never
-        used from comb bodies (self-wake suppression)."""
-        name = self._mem_commit_fns.get(id(memory))
-        if name is None:
-            name = f"_nm{len(self._mem_commit_fns)}"
-            self._mem_commit_fns[id(memory)] = name
-            self.commit_defs.append(
-                self._render_mem_commit_fn(name, memory)
+            name = self._commit_fns[id(signal)] = self._name("_nc")
+            self.commit_lines.append(
+                f"{name} = _rt.make_write({self._signal_args(signal)})"
             )
         return name
 
-    def _render_mem_commit_fn(self, name, memory):
-        lines = []
+    def mem_commit_fn_for(self, memory):
+        """Name of the memory committer ``_nm{i}(sim, (i, v))``: a
+        tuple append per seq memory write instead of a partial, and
+        static dirty marks instead of the listener walk.  Like the
+        signal committers, never used from comb bodies."""
+        name = self._commit_fns.get(id(memory))
+        if name is None:
+            name = self._commit_fns[id(memory)] = self._name("_nm")
+            self.commit_lines.append(
+                f"{name} = _rt.make_mem_commit("
+                f"{self.bind_object(memory)}, {memory.lo}, {memory.hi}, "
+                f"{memory.width}, {self._levels(memory)})"
+            )
+        return name
 
-        def emit(indent, text):
-            lines.append("    " * indent + text)
+    def _poke_calls(self):
+        """One fused ``poke`` per top-level port signal: the testbench
+        driver's hot path, with a private int -> Value memo.  A port a
+        seq/initial body also stores shares that committer."""
+        return {
+            name: self._commit_fns.get(id(signal))
+            or f"_rt.make_write({self._signal_args(signal)})"
+            for name, (_direction, signal) in self.design.ports.items()
+            if signal.name == name  # defensive: only top-level flat names
+        }
 
-        slot = self.bind_object(memory)
-        lo, hi, width = memory.lo, memory.hi, memory.width
-        offset = f" - {lo}" if lo else ""
-        emit(0, f"def {name}(sim, _a):")
-        emit(1, "_i = _a[0]")
-        emit(1, f"if _i is not None and {lo} <= _i <= {hi}:")
-        emit(2, "_v = _a[1]")
-        emit(2, f"if _v.width != {width}:")
-        emit(3, f"_v = _v.resize({width})")
-        emit(2, f"{slot}.words[_i{offset}] = _v")
-        # _notify_memory_write counts and wakes unconditionally, even
-        # for out-of-range writes — mirror that exactly.
-        emit(1, "sim.event_count += 1")
-        for level in sorted({
-            self.level_of[id(p)] for p in memory.comb_listeners
-        }):
-            emit(1, f"sim._dirty[{level}] = 1")
-        return lines
-
-    # -- poke ----------------------------------------------------------------
-
-    def _render_pokes(self):
-        """One fused ``poke`` per top-level port signal.
-
-        The generic path pays a signal lookup, an int-wrap memo, and a
-        fully generic ``_write_signal`` per drive; the fused one is a
-        per-signal closure with a private int->Value memo, the change
-        check inlined, and statically-known listener marks — the
-        testbench driver's hot path."""
-        pokes = {}
-        for name, (_direction, signal) in self.design.ports.items():
-            if signal.name != name:
-                continue  # defensive: only top-level flat names
-            pokes[name] = self._render_poke(len(pokes), signal)
-        return pokes
-
-    def _render_poke(self, index, signal):
-        lines = []
-
-        def emit(indent, text):
-            lines.append("    " * indent + text)
-
-        slot = self.bind_object(signal)
-        width = signal.width
-        signed = bool(signal.signed)
-        emit(0, f"_pc{index} = {{}}")
-        emit(0, f"def _poke_{index}(sim, value):")
-        emit(1, f"_old = {slot}.value")
-        emit(1, "if type(value) is int:")
-        emit(2, f"_v = _pc{index}.get(value)")
-        emit(2, "if _v is None:")
-        emit(3, f"_v = _pc{index}[value] = "
-                f"Value(value, {width}, 0, {signed})")
-        emit(2, "if _old.bits == _v.bits and _old.xmask == _v.xmask:")
-        emit(3, "return")
-        emit(1, "else:")
-        emit(2, f"_v = value")
-        emit(2, f"if _v.width != {width} or _v.signed != {signed}:")
-        emit(3, f"_v = _v.resize({width}, {signed})")
-        emit(2, "if _old.bits == _v.bits and _old.xmask == _v.xmask:")
-        emit(3, "return")
-        self._emit_store_tail(lines, slot, signal)
-        return lines
-
-    # -- tick ----------------------------------------------------------------
-
-    def _render_ticks(self):
+    def _tick_calls(self):
         """One fused ``tick`` per signal with edge listeners."""
-        ticks = {}
-        for name, signal in self.design.signals.items():
-            if not signal.edge_listeners:
-                continue
-            if any(id(p) not in self.proc_index
-                   for _, p in signal.edge_listeners):
-                continue  # defensive: unknown listener process
-            ticks[name] = self._render_tick(len(ticks), signal)
-        return ticks
-
-    def _render_tick(self, index, signal):
-        lines = []
-
-        def emit(indent, text):
-            lines.append("    " * indent + text)
-
-        one = self.bind_const(
-            Value(1, signal.width, 0, bool(signal.signed))
-        )
-        zero = self.bind_const(
-            Value(0, signal.width, 0, bool(signal.signed))
-        )
-        slot = self.bind_object(signal)
-        comb_levels = sorted({
-            self.level_of[id(p)] for p in signal.comb_listeners
-        })
-        wake_on_fall = bool(signal.comb_listeners) or any(
-            edge != "posedge" for edge, _ in signal.edge_listeners
-        )
-
-        def commit(value_name, new_bit):
-            # Mirrors _write_signal for this one statically-known
-            # drive: change check, slot store, trace, comb wake-ups,
-            # then the edge scan — in listener-list order, exactly the
-            # order the engine's scan appends in.
-            emit(2, f"_old = {slot}.value")
-            if new_bit:
-                emit(2, "if _old.bits != 1 or _old.xmask:")
-            else:
-                emit(2, "if _old.bits or _old.xmask:")
-            emit(3, f"{slot}.value = {value_name}")
-            emit(3, "sim.event_count += 1")
-            if self.trace:
-                pc = _TickEmitter(lines, 3)
-                pc.emit("_t = sim.time")
-                self._emit_trace(pc, signal.name, value_name)
-            for level in comb_levels:
-                emit(3, f"d[{level}] = 1")
-            emit(3, "_ob = None if _old.xmask & 1 else _old.bits & 1")
-            for edge, process in signal.edge_listeners:
-                fires_at = {"posedge": 1, "negedge": 0}.get(edge)
-                if fires_at is not None and fires_at != new_bit:
-                    continue  # this edge cannot fire on this drive
-                pname = self.bind_process(process)
-                indent = 3
-                if fires_at is not None:
-                    emit(3, f"if _ob != {new_bit}:")
-                    indent = 4
-                emit(indent, f"if id({pname}) not in _cs:")
-                emit(indent + 1, f"_cs.add(id({pname}))")
-                emit(indent + 1, f"sim._clocked.append({pname})")
-
-        emit(0, f"def _tick_{index}(sim, cycles, half_period):")
-        emit(1, "_cs = sim._clocked_set")
-        if comb_levels:
-            emit(1, "d = sim._dirty")
-        if self.trace:
-            emit(1, "_tr = sim.trace")
-        emit(1, "for _ in range(cycles):")
-        commit(one, 1)
-        emit(2, "_settle(sim)")
-        emit(2, "sim.time += half_period")
-        commit(zero, 0)
-        if wake_on_fall:
-            emit(2, "_settle(sim)")
-        emit(2, "sim.time += half_period")
-        return lines
-
-
-class _TickEmitter:
-    """Minimal emit/indent adapter so :meth:`KernelCompiler._emit_trace`
-    can write into a tick function's line buffer."""
-
-    def __init__(self, lines, indent):
-        self.lines = lines
-        self.indent = indent
-        self.counter = 0
-
-    def emit(self, text):
-        self.lines.append("    " * self.indent + text)
-
-    def tmp(self):
-        self.counter += 1
-        return f"_tk{self.counter}"
+        return {
+            name: f"_rt.make_tick({self._signal_args(signal)}, _settle)"
+            for name, signal in self.design.signals.items()
+            if signal.edge_listeners and all(
+                id(p) in self.proc_index  # defensive: unknown listener
+                for _, p in signal.edge_listeners)
+        }
 
 
 def build_kernel_source(design, order, trace=True, coverage=None,

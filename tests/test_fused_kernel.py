@@ -5,6 +5,7 @@ hierarchy equivalence, and the cross-run compilation cache (memo,
 disk persistence, version/signature invalidation)."""
 
 import hashlib
+import os
 
 import pytest
 
@@ -22,8 +23,12 @@ from repro.sim.engine import Simulator
 
 @pytest.fixture(autouse=True)
 def _isolated_kernel_cache(monkeypatch):
-    """Each test sees a fresh memo and no disk store."""
-    monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
+    """Each test sees a fresh memo and no disk store, and leaves none
+    behind.  ``setenv`` first records the variable's prior state (a
+    bare ``delenv`` of an unset variable records nothing), so teardown
+    also undoes whatever a test exported."""
+    monkeypatch.setenv("REPRO_COMPILE_CACHE", "")
+    monkeypatch.delenv("REPRO_COMPILE_CACHE")
     monkeypatch.setattr(kernel_cache, "_disk_dir", None)
     kernel_cache.clear_memo()
     kernel_cache.reset_stats()
@@ -318,23 +323,27 @@ def test_codegen_version_bump_invalidates(monkeypatch):
     assert kernel_cache.kernel_cache_key(design2, True, False) != key
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    kernel_cache.enable_disk_cache(tmp_path / "compiled")
-    CompiledSimulator(elaborate(CACHED_DUT))
-    stats = kernel_cache.stats()
-    assert stats["compiled"] == 1 and stats["disk_hits"] == 0
-    sources = list((tmp_path / "compiled").glob("*.py"))
-    assert len(sources) == 1  # persisted generated source
-    # A fresh worker process (simulated: cleared memo) loads from disk
-    # instead of re-running codegen.
-    kernel_cache.clear_memo()
-    sim = CompiledSimulator(elaborate(CACHED_DUT))
-    stats = kernel_cache.stats()
-    assert stats["compiled"] == 1  # still zero recompilations
-    assert stats["disk_hits"] == 1
+def test_disk_cache_round_trip(tmp_path):
+    with kernel_cache.disk_cache(tmp_path / "compiled"):
+        CompiledSimulator(elaborate(CACHED_DUT))
+        stats = kernel_cache.stats()
+        assert stats["compiled"] == 1 and stats["disk_hits"] == 0
+        sources = list((tmp_path / "compiled").glob("*.py"))
+        assert len(sources) == 1  # persisted generated source
+        # A fresh worker process (simulated: cleared memo) loads from
+        # disk instead of re-running codegen.
+        kernel_cache.clear_memo()
+        sim = CompiledSimulator(elaborate(CACHED_DUT))
+        stats = kernel_cache.stats()
+        assert stats["compiled"] == 1  # still zero recompilations
+        assert stats["disk_hits"] == 1
     sim.poke("a", 9)
     sim.tick()
     assert sim.get_int("q") == 9  # disk-loaded kernel actually works
+    # The store does not outlive its scope: later simulators in this
+    # process (and pool workers it spawns) must not use it.
+    assert "REPRO_COMPILE_CACHE" not in os.environ
+    assert kernel_cache.disk_cache_dir() is None
 
 
 def test_disk_store_failure_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -421,11 +430,13 @@ endmodule
 #: the test below), per CODEGEN_VERSION.
 KERNEL_DIGESTS = {
     2: "1215137a3e4e1207b7ebd29a35f5871a39d22e767b2b2656a1e47fe8c727a03b",
+    3: "0d2c361c4d2eed1da0523073c1d69443030b3c0dc26f5f8633dda7c5ef61a6bd",
 }
 
 
 def test_kernel_output_pinned_to_codegen_version():
-    """Generated kernels change only with a CODEGEN_VERSION bump.
+    """Generated kernels change only with a CODEGEN_VERSION bump, and
+    hold no design-independent code.
 
     On-disk kernel stores are keyed by the version, so output that
     changes without a bump would let a warm ``<cache-dir>/compiled/``
@@ -441,6 +452,9 @@ def test_kernel_output_pinned_to_codegen_version():
                     codegen_version=kernel_cache.CODEGEN_VERSION,
                 )
                 digest.update(source.encode())
+                # Pokes, ticks and committers are runtime closures.
+                assert not any(f"def {stem}" in source for stem in (
+                    "_poke_", "_tick_", "_nc", "_nm"))
     assert digest.hexdigest() == KERNEL_DIGESTS.get(
         kernel_cache.CODEGEN_VERSION
     ), (
