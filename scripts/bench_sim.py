@@ -10,8 +10,13 @@ trajectory has data points CI can archive.
 Methodology: this times the *simulator* — stimulus generation happens
 before the clock starts, value-change tracing is disabled (the way
 commercial simulators are benchmarked; run with ``--trace`` to include
-it), and each measurement is best-of-``--repeat`` to shed scheduler
-noise.  The drive loop itself lives in :mod:`repro.sim.benchmark`,
+it), and each measurement is best-of-``--repeat`` samples to shed
+scheduler noise.  One drive lasts 0.3-12 ms, too short to time alone
+on a shared host, so a sample runs drives back to back until they add
+up to at least :data:`MIN_SAMPLE_SECONDS` and reports the mean per
+drive.  The two backends swap order on every repeat, so neither one
+always runs first after the other has warmed or cooled the host.
+The drive loop itself lives in :mod:`repro.sim.benchmark`,
 shared with ``repro.cli profile`` so profiles measure exactly this
 workload.  Bit-level equivalence between the backends is *not* this
 script's job: the xcheck differential suite
@@ -47,19 +52,36 @@ BACKENDS = ("interp", "compiled")
 #: from argparse/usage failures).
 REGRESSION_EXIT = 3
 
+#: Shortest timed sample, in seconds of back-to-back drives.
+MIN_SAMPLE_SECONDS = 0.05
+
+
+def sample(bench, backend, vectors, trace):
+    """Mean seconds per drive over back-to-back drives lasting at least
+    :data:`MIN_SAMPLE_SECONDS`; returns ``(seconds, cycles_per_drive)``."""
+    total = 0.0
+    drives = 0
+    while total < MIN_SAMPLE_SECONDS:
+        elapsed, cycles = drive(bench, backend, vectors, trace)
+        total += elapsed
+        drives += 1
+    return total / drives, cycles
+
 
 def bench_module(bench, repeat, trace):
     vectors = materialize(bench)
     row = {"category": bench.category, "type": bench.type_tag}
+    best = {}
+    for index in range(repeat):
+        for backend in BACKENDS[::-1] if index % 2 else BACKENDS:
+            seconds, cycles = sample(bench, backend, vectors, trace)
+            best[backend] = min(best.get(backend, seconds), seconds)
+    row["cycles"] = cycles
     for backend in BACKENDS:
-        best = None
-        cycles = 0
-        for _ in range(repeat):
-            elapsed, cycles = drive(bench, backend, vectors, trace)
-            best = elapsed if best is None else min(best, elapsed)
-        row["cycles"] = cycles
-        row[f"{backend}_seconds"] = best
-        row[f"{backend}_cps"] = cycles / best if best > 0 else 0.0
+        row[f"{backend}_seconds"] = best[backend]
+        row[f"{backend}_cps"] = (
+            cycles / best[backend] if best[backend] > 0 else 0.0
+        )
         # One extra pass with per-phase accounting, outside the timed
         # best-of region so the wrapper overhead never touches the
         # headline cycles/sec (keys are additive: baseline comparison
@@ -136,7 +158,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="BENCH_sim.json")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timed runs per module/backend (best-of)")
+                        help="timed samples per module/backend (best-of)")
     parser.add_argument("--modules", default=None,
                         help="comma-separated subset (default: all 27)")
     parser.add_argument("--trace", action="store_true",

@@ -133,11 +133,11 @@ def generate_dataset(seed=0, per_operator=2, target=DATASET_TARGET_SIZE,
     selected = (
         [get_module(name) for name in modules] if modules else all_modules()
     )
-    disk_cache = None
+    dataset_store = None
     if cache_dir is not None:
         from repro.runner.cache import DatasetCache
 
-        disk_cache = DatasetCache(cache_dir)
+        dataset_store = DatasetCache(cache_dir)
     operator_names = tuple(
         op.name for op in (operators if operators is not None
                            else ALL_OPERATORS)
@@ -145,7 +145,7 @@ def generate_dataset(seed=0, per_operator=2, target=DATASET_TARGET_SIZE,
     instances = []
     for bench in selected:
         module_key = None
-        if disk_cache is not None:
+        if dataset_store is not None:
             source_sha = hashlib.sha256(
                 bench.source.encode("utf-8")
             ).hexdigest()
@@ -153,7 +153,7 @@ def generate_dataset(seed=0, per_operator=2, target=DATASET_TARGET_SIZE,
                 f"{seed}|{per_operator}|{validate}|{bench.name}|"
                 f"{source_sha}|{operator_names}".encode("utf-8")
             ).hexdigest()
-            cached = disk_cache.get(module_key)
+            cached = dataset_store.get(module_key)
             if cached is not None:
                 try:
                     revived = [ErrorInstance(**data) for data in cached]
@@ -166,8 +166,8 @@ def generate_dataset(seed=0, per_operator=2, target=DATASET_TARGET_SIZE,
             bench, operators=operators, per_operator=per_operator,
             seed=seed, validate=validate,
         )
-        if disk_cache is not None:
-            disk_cache.put(module_key, [asdict(i) for i in generated])
+        if dataset_store is not None:
+            dataset_store.put(module_key, [asdict(i) for i in generated])
         instances.extend(generated)
     if target is not None and len(instances) > target:
         # Deterministic thinning that preserves per-module balance.

@@ -30,7 +30,7 @@ import os
 import time
 
 #: Environment variable carrying the forensics directory to pool
-#: workers, exactly like ``REPRO_TELEMETRY``/``REPRO_COMPILE_CACHE``.
+#: workers, exactly like ``REPRO_TELEMETRY``.
 FORENSICS_ENV = "REPRO_FORENSICS"
 
 #: Bump when the bundle layout or manifest semantics change.

@@ -150,17 +150,6 @@ def run_fuzz(count, seed=0, cycles=24, jobs=1, cache_dir=None,
         index, total = shard
         units = [u for u in units if u.index % total == index]
     cache = make_fuzz_cache(cache_dir) if cache_dir else None
-    # Fuzz shards share the cross-run kernel store too: a warm re-run
-    # rebinds each design's generated kernel from disk instead of
-    # re-running codegen per worker.  Scoped so the directory never
-    # outlives this campaign.
-    from repro.sim.compile import cache as kernel_cache
-
-    kernel_dir = (
-        os.path.join(os.fspath(cache_dir), "compiled")
-        if cache_dir else None
-    )
-
     telemetry_dir = (
         os.path.join(os.fspath(cache_dir), "telemetry")
         if telemetry and cache_dir else None
@@ -174,8 +163,7 @@ def run_fuzz(count, seed=0, cycles=24, jobs=1, cache_dir=None,
     bundles = []
     started = time.monotonic()
     exhausted = 0
-    with kernel_cache.disk_cache(kernel_dir), \
-            sink.telemetry_scope(telemetry_dir), \
+    with sink.telemetry_scope(telemetry_dir), \
             forensics.scope(forensics_dir), \
             trace.span("fuzz-campaign", cat="scheduler", count=len(units)):
         if time_budget is None:

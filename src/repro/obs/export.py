@@ -147,16 +147,12 @@ def summarize(spans, metrics, top=10, opens=None):
         row["cycles_per_sec"] = row["cycles"] / row["seconds"] if row["seconds"] else 0.0
 
     counters = metrics.counters if metrics is not None else {}
-    # ``kernel.compiled`` counts codegen runs only: a kernel memo miss
-    # either found its source on disk or ran codegen.
-    disk_hits = counters.get("kernel.disk_hits", 0)
-    compiled = counters.get("kernel.compiled", 0)
+    # Every kernel memo miss runs codegen (``kernel.compiled``).
     caches = {
         "unit_cache": _rate(counters.get("unit_cache.hits", 0),
                             counters.get("unit_cache.misses", 0)),
         "kernel_memo": _rate(counters.get("kernel.memo_hits", 0),
-                             disk_hits + compiled),
-        "kernel_disk": _rate(disk_hits, compiled),
+                             counters.get("kernel.compiled", 0)),
         "parse_memo": _rate(counters.get("parse.memo_hits", 0),
                             counters.get("parse.memo_misses", 0)),
         "lint_memo": _rate(counters.get("lint.memo_hits", 0),

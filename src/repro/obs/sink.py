@@ -15,8 +15,7 @@ Shard lines are JSON objects tagged by ``kind``:
 
 The parent process enables a run with :func:`telemetry_scope`, which
 exports ``REPRO_TELEMETRY`` so pool workers (fork or spawn start
-method) pick the directory up via :func:`maybe_init_worker`, exactly
-the pattern the kernel disk cache uses with ``REPRO_COMPILE_CACHE``.
+method) pick the directory up via :func:`maybe_init_worker`.
 """
 
 import contextlib

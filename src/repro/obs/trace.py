@@ -32,9 +32,8 @@ import os
 import time
 
 #: Environment variable carrying the telemetry shard directory to pool
-#: workers (the scheduler exports it before the pool spawns, exactly
-#: like ``REPRO_COMPILE_CACHE``).  A non-empty value also means
-#: "tracing on" in worker processes.
+#: workers (the scheduler exports it before the pool spawns).  A
+#: non-empty value also means "tracing on" in worker processes.
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Ring-buffer bound: oldest spans are dropped past this (a campaign

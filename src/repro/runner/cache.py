@@ -5,9 +5,6 @@ Layout under a cache directory::
     <cache_dir>/units/<sha256>.json      one finished InstanceRecord
     <cache_dir>/datasets/<sha256>.json   one validated error dataset
     <cache_dir>/fuzz/<sha256>.json       one fuzz-unit verdict
-    <cache_dir>/compiled/<key>.py        one generated simulation kernel
-                                         (cross-run compile cache, see
-                                         repro.sim.compile.cache)
     <cache_dir>/coverage/<grid>.shard-i-of-n.json   shard coverage DBs
 
 Each unit file is written atomically (temp file + ``os.replace``) by

@@ -1,7 +1,7 @@
 """Deterministic fault injection for scheduler recovery tests.
 
 A *fault plan* is a JSON document exported to pool workers through
-``REPRO_FAULT_PLAN`` (adopted exactly like ``REPRO_COMPILE_CACHE``):
+``REPRO_FAULT_PLAN`` (adopted exactly like ``REPRO_TELEMETRY``):
 
 .. code-block:: python
 

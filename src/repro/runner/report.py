@@ -15,11 +15,8 @@ def format_kernel_stats(kernels):
     """Compiled-kernel cache summary fragment, or "" when inactive."""
     if not kernels or not any(kernels.values()):
         return ""
-    hits = kernels.get("memo_hits", 0) + kernels.get("disk_hits", 0)
-    text = f" kernels {kernels.get('compiled', 0)}c/{hits}h"
-    if kernels.get("disk_hits"):
-        text += f" ({kernels['disk_hits']} disk)"
-    return text
+    return (f" kernels {kernels.get('compiled', 0)}c/"
+            f"{kernels.get('memo_hits', 0)}h")
 
 
 def format_progress(done, total, elapsed, cached=0, kernels=None,
@@ -89,12 +86,9 @@ class ProgressReporter:
         executed = self.done - self.cached
         kernel_text = ""
         if kernels and any(kernels.values()):
-            hits = kernels.get("memo_hits", 0) + \
-                kernels.get("disk_hits", 0)
             kernel_text = (
                 f"; kernel cache: {kernels.get('compiled', 0)} "
-                f"compiled, {hits} hits "
-                f"({kernels.get('disk_hits', 0)} from disk)"
+                f"compiled, {kernels.get('memo_hits', 0)} hits"
             )
         print(
             f"[campaign] finished {self.done}/{self.total} units in "

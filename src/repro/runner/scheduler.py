@@ -206,7 +206,6 @@ class CampaignRunner:
         return {
             "compiled": self.metrics.counter("kernel.compiled"),
             "memo_hits": self.metrics.counter("kernel.memo_hits"),
-            "disk_hits": self.metrics.counter("kernel.disk_hits"),
         }
 
     @property
@@ -710,8 +709,6 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     quarantine records for custom unit families.
     """
     units = list(units)
-    from repro.sim.compile import cache as kernel_cache
-
     if policy is None:
         policy = faults.get_default_policy()
         if unit_timeout is not None or fail_fast:
@@ -722,14 +719,6 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
                 fail_fast=fail_fast or policy.fail_fast,
             )
 
-    # Cross-run kernel store: generated simulation kernels persist
-    # under <cache-dir>/compiled/ and the directory is exported to
-    # pool workers (REPRO_COMPILE_CACHE) before the pool spawns;
-    # both are scoped to this run.
-    kernel_dir = (
-        os.path.join(os.fspath(cache_dir), "compiled")
-        if cache_dir else None
-    )
     telemetry_dir = (
         os.path.join(os.fspath(cache_dir), "telemetry")
         if telemetry and cache_dir else None
@@ -745,12 +734,11 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     runner = CampaignRunner(jobs=jobs, cache=cache, reporter=reporter,
                             executor=executor, policy=policy,
                             poisoned_factory=poisoned_factory)
-    with kernel_cache.disk_cache(kernel_dir):
-        with sink.telemetry_scope(telemetry_dir):
-            with forensics.scope(forensics_dir):
-                with trace.span("campaign", cat="scheduler",
-                                units=len(units), jobs=runner.jobs):
-                    return runner.run(units, progress=progress)
+    with sink.telemetry_scope(telemetry_dir):
+        with forensics.scope(forensics_dir):
+            with trace.span("campaign", cat="scheduler",
+                            units=len(units), jobs=runner.jobs):
+                return runner.run(units, progress=progress)
 
 
 def default_jobs():

@@ -4,7 +4,7 @@ See :mod:`repro.sim.compile.engine` for the backend entry point,
 :mod:`repro.sim.compile.kernel` for the fused settle generator,
 :mod:`repro.sim.compile.runtime` for the pokes, ticks and committers
 its ``bind()`` builds,
-:mod:`repro.sim.compile.cache` for the cross-run compilation cache,
+:mod:`repro.sim.compile.cache` for the per-process kernel memo,
 and :mod:`repro.sim.backend` for selection (``interp``/``compiled``/
 ``xcheck``).
 """

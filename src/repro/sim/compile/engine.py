@@ -12,10 +12,10 @@ execute and how combinational logic settles:
   plus sibling seq/initial functions (:mod:`repro.sim.compile.kernel`);
   its ``bind()`` builds the per-port pokes, per-clock ticks and
   per-signal committers from :mod:`repro.sim.compile.runtime`.
-  The generated module is shared across simulator instances and
-  across runs through the compilation cache
-  (:mod:`repro.sim.compile.cache`): each distinct design is compiled
-  once per campaign, not once per work unit;
+  The generated module is shared across simulator instances through
+  the per-process kernel memo (:mod:`repro.sim.compile.cache`): each
+  distinct design is compiled once per worker process, not once per
+  work unit;
 - process bodies the codegen cannot prove faithful (runtime-width
   part selects, whole-memory stores, ...) are *demoted*: they stay on
   the inherited interpreter, called from inside the fused kernel at

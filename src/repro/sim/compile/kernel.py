@@ -221,6 +221,7 @@ class KernelCompiler:
         pc.emit("ec += 1")
         if self.trace:
             pc.emit(f"_ta(_tr, {signal.name!r}, _t, {local})")
+            pc.uses.add("_ta")
         levels = sorted({
             self.level_of[id(listener)]
             for listener in signal.comb_listeners
@@ -366,7 +367,7 @@ class KernelCompiler:
                              ("_MW", "_mem_write")):
             if helper in self.uses:
                 emit(1, f"{helper} = sim.{attr}")
-        if self.trace:
+        if "_ta" in self.uses:
             emit(1, "_tr = sim.trace")
             emit(1, "_t = sim.time")
             emit(1, "_ta = _rt.trace_append")

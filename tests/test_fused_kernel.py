@@ -1,16 +1,18 @@
 """Fused-kernel unit tests: whole-design settle/tick codegen, the
 store-elision policy's observable-glitch guard, demoted processes
 running *inside* the kernel at their topological level, flattened
-hierarchy equivalence, and the cross-run compilation cache (memo,
-disk persistence, version/signature invalidation)."""
+hierarchy equivalence, and the per-process compilation cache (memo,
+version/signature invalidation)."""
 
 import hashlib
-import os
 
 import pytest
 
 from repro.bench.registry import all_modules
 from repro.cover.code import CodeCoverage
+from repro.errgen.generator import generate_dataset
+from repro.experiments.runner import run_methods
+from repro.fuzz.campaign import run_fuzz
 from repro.runner.report import format_progress
 from repro.runner.scheduler import CampaignRunner
 from repro.sim.compile import cache as kernel_cache
@@ -22,14 +24,8 @@ from repro.sim.engine import Simulator
 
 
 @pytest.fixture(autouse=True)
-def _isolated_kernel_cache(monkeypatch):
-    """Each test sees a fresh memo and no disk store, and leaves none
-    behind.  ``setenv`` first records the variable's prior state (a
-    bare ``delenv`` of an unset variable records nothing), so teardown
-    also undoes whatever a test exported."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "")
-    monkeypatch.delenv("REPRO_COMPILE_CACHE")
-    monkeypatch.setattr(kernel_cache, "_disk_dir", None)
+def _isolated_kernel_cache():
+    """Each test sees a fresh memo and zeroed counters."""
     kernel_cache.clear_memo()
     kernel_cache.reset_stats()
     yield
@@ -323,47 +319,6 @@ def test_codegen_version_bump_invalidates(monkeypatch):
     assert kernel_cache.kernel_cache_key(design2, True, False) != key
 
 
-def test_disk_cache_round_trip(tmp_path):
-    with kernel_cache.disk_cache(tmp_path / "compiled"):
-        CompiledSimulator(elaborate(CACHED_DUT))
-        stats = kernel_cache.stats()
-        assert stats["compiled"] == 1 and stats["disk_hits"] == 0
-        sources = list((tmp_path / "compiled").glob("*.py"))
-        assert len(sources) == 1  # persisted generated source
-        # A fresh worker process (simulated: cleared memo) loads from
-        # disk instead of re-running codegen.
-        kernel_cache.clear_memo()
-        sim = CompiledSimulator(elaborate(CACHED_DUT))
-        stats = kernel_cache.stats()
-        assert stats["compiled"] == 1  # still zero recompilations
-        assert stats["disk_hits"] == 1
-    sim.poke("a", 9)
-    sim.tick()
-    assert sim.get_int("q") == 9  # disk-loaded kernel actually works
-    # The store does not outlive its scope: later simulators in this
-    # process (and pool workers it spawns) must not use it.
-    assert "REPRO_COMPILE_CACHE" not in os.environ
-    assert kernel_cache.disk_cache_dir() is None
-
-
-def test_disk_store_failure_leaves_no_temp_file(tmp_path, monkeypatch):
-    """A failed rename (say, a full disk) must neither fail the run
-    nor leave the temp file behind in the store."""
-    store = tmp_path / "compiled"
-    monkeypatch.setattr(kernel_cache, "_disk_dir", str(store))
-
-    def full_disk(src, dst):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(kernel_cache.os, "replace", full_disk)
-    sim = CompiledSimulator(elaborate(CACHED_DUT))
-    assert kernel_cache.stats()["compiled"] == 1
-    assert list(store.iterdir()) == []
-    sim.poke("a", 9)
-    sim.tick()
-    assert sim.get_int("q") == 9
-
-
 def _build_cached_dut(_unit):
     CompiledSimulator(elaborate(CACHED_DUT))
     return {"ok": True}
@@ -384,11 +339,30 @@ def test_scheduler_aggregates_kernel_stats():
 
 def test_progress_line_surfaces_kernel_cache():
     line = format_progress(3, 10, 5.0, cached=1,
-                           kernels={"compiled": 2, "memo_hits": 7,
-                                    "disk_hits": 1})
-    assert "kernels 2c/8h (1 disk)" in line
+                           kernels={"compiled": 2, "memo_hits": 7})
+    assert "kernels 2c/7h" in line
     quiet = format_progress(3, 10, 5.0, cached=1, kernels=None)
     assert "kernels" not in quiet
+
+
+@pytest.mark.campaign
+def test_campaigns_write_no_kernels(tmp_path):
+    """Kernels live only in each process's memo: neither a pool
+    campaign nor a fuzz run writes them under the cache directory, and
+    pool workers that generate their own kernels post the serial
+    records."""
+    instances = generate_dataset(seed=0, per_operator=1, target=None,
+                                 modules=["counter_12"])[:3]
+    pooled = run_methods(instances, ("uvllm", "strider"), attempts=1,
+                         jobs=2, cache_dir=tmp_path / "methods",
+                         backend="compiled")
+    assert not (tmp_path / "methods" / "compiled").exists()
+    assert pooled == run_methods(instances, ("uvllm", "strider"),
+                                 attempts=1, jobs=1, backend="compiled")
+
+    summary = run_fuzz(count=4, cycles=6, cache_dir=tmp_path / "fuzz")
+    assert summary["run"] == 4
+    assert not (tmp_path / "fuzz" / "compiled").exists()
 
 
 # -- a design that does not levelize runs on the interpreter -----------------
@@ -431,16 +405,18 @@ endmodule
 KERNEL_DIGESTS = {
     2: "1215137a3e4e1207b7ebd29a35f5871a39d22e767b2b2656a1e47fe8c727a03b",
     3: "0d2c361c4d2eed1da0523073c1d69443030b3c0dc26f5f8633dda7c5ef61a6bd",
+    4: "267d567b9d590a92f66f482aa6b70bd13ca846452821bc749edcf06b0a8acb76",
 }
 
 
 def test_kernel_output_pinned_to_codegen_version():
-    """Generated kernels change only with a CODEGEN_VERSION bump, and
-    hold no design-independent code.
+    """Generated kernels change only with a CODEGEN_VERSION bump, hold
+    no design-independent code, and load no trace helper they never
+    call.
 
-    On-disk kernel stores are keyed by the version, so output that
-    changes without a bump would let a warm ``<cache-dir>/compiled/``
-    hand back stale kernels."""
+    The digest catches unintended changes to generator output: a
+    refactor of the generator that moves any kernel byte fails here
+    until the change is deliberate, versioned and re-pinned."""
     digest = hashlib.sha256()
     for bench in sorted(all_modules(), key=lambda b: b.name):
         design = elaborate(bench.source, top=bench.top)
@@ -455,6 +431,11 @@ def test_kernel_output_pinned_to_codegen_version():
                 # Pokes, ticks and committers are runtime closures.
                 assert not any(f"def {stem}" in source for stem in (
                     "_poke_", "_tick_", "_nc", "_nm"))
+                # _settle loads the trace helpers only to call them.
+                settle = source[source.index("def _settle(sim):"):
+                                source.index("\n    return {")]
+                assert ("_ta = " in settle) == ("_ta(" in settle), \
+                    bench.name
     assert digest.hexdigest() == KERNEL_DIGESTS.get(
         kernel_cache.CODEGEN_VERSION
     ), (

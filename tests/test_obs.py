@@ -323,18 +323,17 @@ class TestCampaignTelemetry:
 
 
 class TestCacheRates:
-    @pytest.mark.parametrize("memo, disk, compiled, memo_rate, disk_rate", [
-        (20, 10, 0, 20 / 30, 1.0),   # fully warm: every miss hit disk
-        (20, 5, 3, 20 / 28, 5 / 8),  # mixed
+    @pytest.mark.parametrize("memo, compiled, memo_rate", [
+        (20, 10, 20 / 30),
+        (20, 8, 20 / 28),
     ])
-    def test_kernel_rates(self, memo, disk, compiled, memo_rate, disk_rate):
+    def test_kernel_rates(self, memo, compiled, memo_rate):
+        """Every memo miss ran codegen, so misses are ``compiled``."""
         metrics = MetricsRegistry()
         metrics.inc("kernel.memo_hits", memo)
-        metrics.inc("kernel.disk_hits", disk)
         metrics.inc("kernel.compiled", compiled)
         caches = export.summarize([], metrics)["caches"]
         assert caches["kernel_memo"] == pytest.approx(memo_rate)
-        assert caches["kernel_disk"] == pytest.approx(disk_rate)
 
 
 class TestModuleThroughput:
