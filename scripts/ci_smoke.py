@@ -36,7 +36,9 @@ would otherwise hide:
   Its merged metrics must also count UVM-run memo hits and misses:
   a sequence class without a ``key()`` would otherwise switch the
   memo off without failing anything (deterministic counts, never
-  timings).
+  timings).  The stand-in LLM's analysis memos must both hit and
+  miss too: a unit's second attempt asks its first attempt's first
+  questions again.
 
 - a deliberately-failing mini campaign (repair iterations forced to
   zero) run with ``--forensics`` must produce at least one debug
@@ -186,14 +188,16 @@ def main():
     if missing:
         return fail(f"campaign span tree is missing expected phases "
                     f"{missing} — telemetry instrumentation regressed")
-    memo_hits = span_metrics.counter("uvm.memo_hits")
-    memo_misses = span_metrics.counter("uvm.memo_misses")
-    if not (memo_hits > 0 and memo_misses > 0):
-        return fail(f"UVM-run memo saw {memo_hits} hits and "
-                    f"{memo_misses} misses — it has switched itself off")
+    memo_counts = []
+    for prefix, label in (("uvm", "UVM-run"), ("llm", "LLM analysis")):
+        hits = span_metrics.counter(prefix + ".memo_hits")
+        misses = span_metrics.counter(prefix + ".memo_misses")
+        if not (hits > 0 and misses > 0):
+            return fail(f"{label} memo saw {hits} hits and {misses} "
+                        f"misses — it has switched itself off")
+        memo_counts.append(f"{label} memo {hits} hits, {misses} misses")
     print(f"telemetry ok: {len(spans)} spans across "
-          f"{len(span_names)} phases; UVM memo {memo_hits} hits, "
-          f"{memo_misses} misses")
+          f"{len(span_names)} phases; " + "; ".join(memo_counts))
     if args.telemetry_out:
         merged = sink.write_merged(
             telemetry_dir, os.path.join(args.telemetry_out,

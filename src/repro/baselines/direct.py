@@ -10,11 +10,9 @@ from repro.lint.linter import Linter
 from repro.llm.prompts import build_repair_prompt, build_syntax_prompt
 from repro.llm.schema import (
     COMPLETE_SCHEMA,
-    REPAIR_SCHEMA,
     SchemaValidationError,
     parse_structured_response,
 )
-from repro.core.patches import apply_pairs
 from repro.metrics.timing import TimingModel
 
 
@@ -81,14 +79,6 @@ class DirectLLM:
             llm_calls=self.llm.budget.calls - calls_before,
             stage_seconds=dict(timing.clock.by_stage),
         )
-
-    def _apply_pairs_response(self, source, text):
-        try:
-            data = parse_structured_response(text, REPAIR_SCHEMA)
-        except SchemaValidationError:
-            return None
-        updated, applied = apply_pairs(source, data.get("correct", []))
-        return updated if applied else None
 
     def _parse_complete(self, text):
         try:

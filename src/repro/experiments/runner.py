@@ -44,7 +44,11 @@ from repro.memo import LRUMemo
 from repro.obs import trace
 from repro.runner.grid import expand_grid
 from repro.runner.scheduler import run_units
-from repro.sim.backend import get_default_backend, use_backend
+from repro.sim.backend import (
+    canonical_backend,
+    get_default_backend,
+    use_backend,
+)
 from repro.uvm.test import run_uvm_test
 
 #: Methods evaluated in the paper's figures.
@@ -83,14 +87,38 @@ class InstanceRecord:
     failure_detail: dict = field(default_factory=dict)
 
 
+#: Per-process FR verdict memo bound.  An entry is a source text and a
+#: bool.  One ``paper-quick`` campaign asks 190 FR questions about 32
+#: distinct (text, module, seed, backend) inputs: 32 entries answer
+#: all 158 repeats, 8 entries 139.
+_FR_MEMO_LIMIT = 32
+
+#: (final source, bench name, seed, canonical backend) -> verdict.
+_FR_MEMO = LRUMemo(_FR_MEMO_LIMIT)
+
+
 def evaluate_fix(final_source, bench, seed=1000):
     """External (expert-equivalent) validation of a repair — the FR
     oracle: lint-clean of errors plus full pass on the held-out suite.
+
+    The verdict is a pure function of the text, the bench, the seed and
+    the simulation backend, so each distinct question is answered once
+    per process (up to :data:`_FR_MEMO_LIMIT` recent ones).  The
+    backend stays in the key, like the unit-coverage memo's, so
+    ci_smoke's cross-backend parity check compares two measurements.
+    An exception (an ``XCheckDivergence``, say) propagates unstored.
 
     The linter is constructed per call rather than held in a module
     singleton: pool workers must not share mutable state, and
     ``Linter()`` is a cheap, stateless rule-list assembly.
     """
+    key = (final_source, bench.name, seed,
+           canonical_backend(get_default_backend()))
+    return _FR_MEMO.recall(
+        key, lambda: _fr_verdict(final_source, bench, seed), "fr")
+
+
+def _fr_verdict(final_source, bench, seed):
     if Linter().lint(final_source).errors:
         return False
     result = run_uvm_test(

@@ -15,14 +15,22 @@ from typing import List, Optional, Tuple
 from repro.hdl.errors import SourceLocation
 
 
+#: Node class -> its dataclass field names, in declaration order.
+_FIELD_NAMES = {}
+
+
 @dataclass
 class Node:
     """Base class for all AST nodes."""
 
     def children(self):
         """Yield all child :class:`Node` instances (recursing into lists)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        names = _FIELD_NAMES.get(type(self))
+        if names is None:
+            names = _FIELD_NAMES[type(self)] = tuple(
+                f.name for f in fields(self))
+        for name in names:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

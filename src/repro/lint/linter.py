@@ -16,7 +16,6 @@ from repro.hdl.errors import HdlSyntaxError, SourceLocation
 from repro.hdl.parser import parse_source
 from repro.lint import rules
 from repro.memo import LRUMemo
-from repro.obs.metrics import GLOBAL as _metrics
 
 #: Per-process lint memo bound, sized like the parse memo
 #: (:data:`repro.hdl.parser.MEMO_LIMIT`).
@@ -92,12 +91,7 @@ class Linter:
         report over the shared, immutable diagnostics.
         """
         key = (source, tuple(rule.code for rule in self.rules))
-        entry = _memo.lookup(key)
-        if entry is None:
-            _metrics.inc("lint.memo_misses")
-            entry = _memo.store(key, self._lint(source))
-        else:
-            _metrics.inc("lint.memo_hits")
+        entry = _memo.recall(key, lambda: self._lint(source), "lint")
         return LintReport(diagnostics=list(entry[0]), parse_ok=entry[1])
 
     def _lint(self, source):

@@ -6,7 +6,7 @@ tokens) and the deterministic execution-time model (tokens / throughput
 = seconds of API latency).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: GPT-4-turbo pricing per 1K tokens (paper Section II).
 INPUT_COST_PER_1K = 0.01
@@ -26,10 +26,6 @@ class LLMResponse:
     prompt_tokens: int
     completion_tokens: int
     model: str = ""
-
-    @property
-    def total_tokens(self):
-        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass

@@ -20,6 +20,12 @@ deterministic, seeded model of an expert-but-imperfect Verilog debugger:
 Everything is a pure function of (seed, prompt), so experiment runs are
 exactly reproducible — the property the paper approximates by querying
 GPT-4-turbo five times per instance.
+
+Host time: the engines' analyses (focus lines, candidate patches,
+syntax repairs) are pure functions of the code and the mined error
+information, so each is memoized per process and a repeated question
+costs a lookup.  Whole responses are not memoized: the response's rng
+hashes the call counter, so the same prompt asked again draws anew.
 """
 
 import hashlib
@@ -376,14 +382,6 @@ class MockLLM(LLMClient):
         """MEIC-style LLM-as-reward-model: noisy better/worse verdict."""
         verdict = "better" if rng.random() < 0.7 else "worse"
         return json.dumps({"verdict": verdict})
-
-
-def _last_line(text):
-    """Normalize a (possibly multi-line, contextualized) quote to its
-    final non-empty line for exclusion-list comparisons."""
-    lines = [line.strip() for line in text.strip().splitlines()
-             if line.strip()]
-    return lines[-1] if lines else ""
 
 
 def _display_to_int(text):

@@ -11,16 +11,38 @@ enumerates candidate single-line patches, ranked by error-pattern
 priors plus hints mined from the expected/actual value pairs.  The
 better the focus, the shorter the candidate list, the more likely the
 correct patch is reached within the iteration budget.
+
+Both analyses are pure functions of their arguments, and the repair
+loop asks the same questions on every iteration and attempt, so each
+distinct question is answered once per process (up to
+:data:`MEMO_LIMIT` recent ones).  Every caller gets a new list of the
+shared, frozen answers.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
+
+from repro.memo import LRUMemo
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+#: Per-process bound of each analysis memo.  On the campaign benchmark
+#: 64 entries answer 335 of ``paper-quick``'s 519 calls to each
+#: analysis (unbounded: 362) and every repeat on ``functional-interp``.
+#: With the syntax-repair and FR memos they add 0.9 MiB to
+#: ``paper-quick``'s 36.2 MiB peak RSS; 4096 entries add 1.9 MiB.
+MEMO_LIMIT = 64
 
-@dataclass
+#: (max_candidates, source, focus lines, hint items) -> candidate tuple.
+_candidates_memo = LRUMemo(MEMO_LIMIT)
+
+#: (source, mismatch signals, suspicious line numbers, hint items) ->
+#: focus line tuple.
+_focus_memo = LRUMemo(MEMO_LIMIT)
+
+
+@dataclass(frozen=True)
 class CandidatePatch:
     """One single-line repair candidate."""
 
@@ -30,22 +52,33 @@ class CandidatePatch:
     kind: str
     score: float = 0.0
 
-    def as_pair(self):
-        return (self.original, self.patched)
-
 
 # Operator confusion pairs, ordered by real-world frequency
-# (Sudakrishnan et al., "Understanding bug fix patterns in Verilog").
+# (Sudakrishnan et al., "Understanding bug fix patterns in Verilog"),
+# each with its compiled pattern.
 _OP_SWAPS = [
-    ("+", "-"), ("-", "+"),
-    ("&", "|"), ("|", "&"),
-    ("^", "&"), ("^", "|"),
-    ("<<", ">>"), (">>", "<<"),
-    ("<", "<="), ("<=", "<"), (">", ">="), (">=", ">"),
-    ("<", ">"), (">", "<"),
-    ("==", "!="), ("!=", "=="),
-    ("&&", "||"), ("||", "&&"),
+    (old, new, re.compile(re.escape(old))) for old, new in (
+        ("+", "-"), ("-", "+"),
+        ("&", "|"), ("|", "&"),
+        ("^", "&"), ("^", "|"),
+        ("<<", ">>"), (">>", "<<"),
+        ("<", "<="), ("<=", "<"), (">", ">="), (">=", ">"),
+        ("<", ">"), (">", "<"),
+        ("==", "!="), ("!=", "=="),
+        ("&&", "||"), ("||", "&&"),
+    )
 ]
+
+#: A line's assignment operator: ``<=`` or a lone ``=``.
+_ASSIGN_OP = re.compile(r"<=|(?<![<>=!])=(?!=)")
+
+#: A declaration statement, whose words name declared identifiers.
+_DECLARATION = re.compile(
+    r"\b(?:input|output|inout|wire|reg|integer)\b[^;]*;"
+)
+_DECLARATION_KEYWORDS = frozenset({
+    "input", "output", "inout", "wire", "reg", "integer", "signed",
+})
 
 _SIZED_LITERAL = re.compile(r"(\d+)'([bdh])([0-9a-fA-F_xXzZ?]+)")
 _RANGE = re.compile(r"\[(\d+)\s*:\s*(\d+)\]")
@@ -176,8 +209,27 @@ class FunctionalRepairEngine:
         one hop of their drivers; with no information at all (raw-log
         baselines) every code line is in scope.  With truncation
         evidence in ``hints`` the declarations come first.
+
+        A suspicious line is its item's ``.line``, or ``int(item)``.
         """
+        signals = tuple(mismatch_signals or ())
+        suspicious = tuple(
+            item.line if hasattr(item, "line") else int(item)
+            for item in suspicious_lines or ()
+        )
         hints = hints or {}
+        key = (source, signals, suspicious, tuple(sorted(hints.items())))
+        return list(_focus_memo.recall(
+            key,
+            lambda: tuple(self._focus_lines(source, signals, suspicious,
+                                            hints)),
+            "llm",
+        ))
+
+    def _focus_lines(self, source, mismatch_signals, suspicious_lines,
+                     hints):
+        """Uncached :meth:`focus_lines_for` over suspicious line
+        numbers."""
         lines = source.splitlines()
         if hints.get("truncation_strong") and mismatch_signals:
             # Truncation evidence: inspect declarations first — the
@@ -187,14 +239,13 @@ class FunctionalRepairEngine:
                 if re.match(r"\s*(?:input|output|inout|reg|wire)\b", line) \
                         and _RANGE.search(line):
                     decls.append(index)
-            rest = self.focus_lines_for(
-                source, mismatch_signals, suspicious_lines, hints=None
+            rest = self._focus_lines(
+                source, mismatch_signals, suspicious_lines, {}
             )
             return decls + [l for l in rest if l not in decls]
         if suspicious_lines:
             ordered = []
-            for item in suspicious_lines:
-                line_no = item.line if hasattr(item, "line") else int(item)
+            for line_no in suspicious_lines:
                 if 1 <= line_no <= len(lines) and line_no not in ordered:
                     ordered.append(line_no)
             # Declarations of the mismatching signals are never DFG
@@ -273,9 +324,23 @@ class FunctionalRepairEngine:
 
     def candidates(self, source, focus_lines, hints=None):
         """Enumerate ranked :class:`CandidatePatch` objects."""
-        lines = source.splitlines()
         hints = dict(hints or {})
+        focus = tuple(focus_lines)
+        key = (self.max_candidates, source, focus,
+               tuple(sorted(hints.items())))
+        return list(_candidates_memo.recall(
+            key, lambda: self._candidates(source, focus, hints), "llm"))
+
+    def _candidates(self, source, focus_lines, hints):
+        """Uncached :meth:`candidates`, as a tuple; derives ``hints``
+        in place."""
+        lines = source.splitlines()
         _derive_hints(hints)
+        declared = set()
+        for match in _DECLARATION.finditer(source):
+            declared.update(_WORD.findall(match.group(0)))
+        declared -= _DECLARATION_KEYWORDS
+        declared_order = sorted(declared)
         out: List[CandidatePatch] = []
         for rank, line_no in enumerate(focus_lines):
             if not (1 <= line_no <= len(lines)):
@@ -301,7 +366,8 @@ class FunctionalRepairEngine:
                 self._sensitivity_candidates(line_no, text, base_score, source)
             )
             out.extend(
-                self._identifier_candidates(line_no, text, base_score, source)
+                self._identifier_candidates(line_no, text, base_score,
+                                            declared, declared_order)
             )
         # Deduplicate on (line, patched) keeping the best score.
         best = {}
@@ -310,7 +376,7 @@ class FunctionalRepairEngine:
             if key not in best or best[key].score < candidate.score:
                 best[key] = candidate
         ranked = sorted(best.values(), key=lambda c: -c.score)
-        return ranked[: self.max_candidates]
+        return tuple(ranked[: self.max_candidates])
 
     # -- candidate families ----------------------------------------------------
 
@@ -319,10 +385,12 @@ class FunctionalRepairEngine:
         results = []
         arith_boost = 1.8 if hints.get("arith") else 1.0
         # Never touch the assignment operator itself; split around it.
-        assign_match = re.search(r"<=|(?<![<>=!])=(?!=)", text)
+        assign_match = _ASSIGN_OP.search(text)
         rhs_start = assign_match.end() if assign_match else 0
-        for priority, (old, new) in enumerate(_OP_SWAPS):
-            for match in re.finditer(re.escape(old), text):
+        for priority, (old, new, pattern) in enumerate(_OP_SWAPS):
+            if old not in text:
+                continue
+            for match in pattern.finditer(text):
                 position = match.start()
                 if position < rhs_start and old not in ("<", ">", "<=", ">="):
                     continue
@@ -498,25 +566,19 @@ class FunctionalRepairEngine:
             )
         return results
 
-    def _identifier_candidates(self, line_no, text, base, source):
+    def _identifier_candidates(self, line_no, text, base, declared,
+                               declared_order):
         """Swap an identifier for a similarly named declared one
-        (variable-name misuse: r1_temp vs r2_temp)."""
-        declared = set()
-        for match in re.finditer(
-            r"\b(?:input|output|inout|wire|reg|integer)\b[^;]*;", source
-        ):
-            declared.update(_WORD.findall(match.group(0)))
-        declared -= {
-            "input", "output", "inout", "wire", "reg", "integer", "signed",
-        }
+        (variable-name misuse: r1_temp vs r2_temp); ``declared_order``
+        is the ``declared`` set sorted."""
         results = []
-        assign_match = re.search(r"<=|(?<![<>=!])=(?!=)", text)
+        assign_match = _ASSIGN_OP.search(text)
         rhs_start = assign_match.end() if assign_match else 0
         for match in _WORD.finditer(text, rhs_start):
             name = match.group(0)
             if name not in declared:
                 continue
-            for other in sorted(declared):
+            for other in declared_order:
                 if other == name:
                     continue
                 similarity = _name_similarity(name, other)

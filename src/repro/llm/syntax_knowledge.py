@@ -10,14 +10,28 @@ message, never the golden source.  Width guesses can be wrong, balance
 insertions can land in the wrong scope — those imperfect fixes then
 surface as functional errors for the main repair loop, reproducing the
 cross-stage compensation the paper reports (Result 4).
+
+A repair is a pure function of the text and the linter's rules, so
+each distinct pair is repaired once per process (up to
+:data:`MEMO_LIMIT` recent ones).
 """
 
 import re
 
 from repro.hdl.lexer import KEYWORDS
 from repro.lint.linter import Linter
+from repro.memo import LRUMemo
 
 _MAX_EDITS = 12
+
+#: Per-process syntax-repair memo bound, sized with the functional
+#: analysis memos (:data:`repro.llm.repair_knowledge.MEMO_LIMIT`): 64
+#: entries answer 243 of ``paper-quick``'s 298 repairs, as many as an
+#: unbounded memo.
+MEMO_LIMIT = 64
+
+#: (source, linter rule codes) -> (fixed source, pair tuple, fixed_all).
+_memo = LRUMemo(MEMO_LIMIT)
 
 
 def edit_distance(a, b, limit=3):
@@ -134,6 +148,13 @@ class SyntaxRepairEngine:
         JSON response.  ``fixed_all`` is True when the result parses and
         has no lint *errors* (warnings are the script templates' job).
         """
+        key = (source, tuple(rule.code for rule in self.linter.rules))
+        fixed, pairs, fixed_all = _memo.recall(
+            key, lambda: self._repair(source), "llm")
+        return fixed, list(pairs), fixed_all
+
+    def _repair(self, source):
+        """Uncached :meth:`repair`, with the pairs as a tuple."""
         pairs = []
         current = source
         declared = _declared_names(source)
@@ -144,14 +165,14 @@ class SyntaxRepairEngine:
             report = self.linter.lint(current)
             errors = report.errors
             if not errors:
-                return current, pairs, True
+                return current, tuple(pairs), True
             updated = self._fix_one(current, errors[0])
             if updated is None or updated == current:
-                return current, pairs, False
+                return current, tuple(pairs), False
             pairs.append(self._diff_pair(current, updated))
             current = updated
         report = self.linter.lint(current)
-        return current, pairs, not report.errors
+        return current, tuple(pairs), not report.errors
 
     # -- single-error fixers --------------------------------------------------
 

@@ -159,6 +159,10 @@ def summarize(spans, metrics, top=10, opens=None):
                            counters.get("lint.memo_misses", 0)),
         "uvm_memo": _rate(counters.get("uvm.memo_hits", 0),
                           counters.get("uvm.memo_misses", 0)),
+        "llm_memo": _rate(counters.get("llm.memo_hits", 0),
+                          counters.get("llm.memo_misses", 0)),
+        "fr_memo": _rate(counters.get("fr.memo_hits", 0),
+                         counters.get("fr.memo_misses", 0)),
     }
 
     faults = {

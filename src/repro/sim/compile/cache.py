@@ -35,8 +35,14 @@ from repro.sim.elaborate import design_fingerprint
 #: semantics; the key folds it in.
 CODEGEN_VERSION = 4
 
-#: Per-worker memo bound (kernel modules retained at once).
-MEMO_LIMIT = 256
+#: Per-worker memo bound (kernel modules retained at once): the
+#: smallest round bound above the 326 distinct kernels one
+#: ``paper-quick`` campaign asks for, so none is built twice.  An entry
+#: retains 7-34 KiB (median 13 KiB) over the 27 golden benches.  Peak
+#: RSS against a bound of 256: ``paper-quick`` +0.1 MiB; a 300-design
+#: fuzz run builds 220 kernels and fills neither; a 600-design run
+#: holds 128 more never-hit fuzz kernels, +4.1 MiB.
+MEMO_LIMIT = 384
 
 #: key -> (bind callable, source text); per worker process.  Campaigns
 #: cycle through a few hundred distinct designs at most, while an

@@ -45,7 +45,6 @@ class Driver:
     def __init__(self, simulator, protocol):
         self.sim = simulator
         self.protocol = protocol
-        self.driven = 0
 
     def apply_reset(self, cycles=2):
         """Pulse reset before a test (and settle the DUT)."""
@@ -75,7 +74,6 @@ class Driver:
             self.sim.step_time(10)
             sample_hook(txn, 0)
             self.sim.set(protocol.reset, protocol.reset_release_value())
-            self.driven += 1
             return
         in_reset = bool(txn.meta.get("reset"))
         if protocol.reset is not None:
@@ -90,7 +88,6 @@ class Driver:
         for name, value in txn.items():
             self.sim.poke(name, value)
         self.sim.settle()
-        self.driven += 1
 
         if not protocol.is_clocked:
             self.sim.step_time(10)

@@ -17,7 +17,6 @@ class Monitor:
         self.sim = simulator
         self.signals = list(signals)
         self.probes = list(probes)
-        self.observations = []
 
     def sample(self):
         """Take one observation of all monitored signals."""
@@ -25,9 +24,4 @@ class Monitor:
         for name in self.probes:
             if name not in values:
                 values[name] = self.sim.get(name)
-        observation = (self.sim.time, values)
-        self.observations.append(observation)
-        return observation
-
-    def last(self):
-        return self.observations[-1] if self.observations else None
+        return self.sim.time, values

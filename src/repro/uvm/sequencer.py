@@ -6,23 +6,14 @@ class Sequencer:
 
     In SystemVerilog UVM the sequencer arbitrates between competing
     sequences; here a single in-order stream suffices, but the component
-    is kept so the agent wiring matches Fig. 3 and so tests can insert
-    recording/filtering hooks.
+    is kept so the agent wiring matches Fig. 3.  It keeps no record of
+    the transactions it hands out: a run's stimulus is its sequence,
+    and forensics records pin-level ops with ``record_ops=True``.
     """
 
     def __init__(self, sequence):
         self.sequence = sequence
-        self.issued = 0
-        self._recorded = []
 
     def item_stream(self):
-        """Yield transactions, recording each one issued."""
-        for txn in self.sequence:
-            self.issued += 1
-            self._recorded.append(txn)
-            yield txn
-
-    @property
-    def history(self):
-        """All transactions issued so far (for replay/debug)."""
-        return list(self._recorded)
+        """Yield the sequence's transactions in order."""
+        yield from self.sequence

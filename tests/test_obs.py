@@ -335,6 +335,19 @@ class TestCacheRates:
         caches = export.summarize([], metrics)["caches"]
         assert caches["kernel_memo"] == pytest.approx(memo_rate)
 
+    @pytest.mark.parametrize("name, prefix", [
+        ("llm_memo", "llm"),
+        ("fr_memo", "fr"),
+    ])
+    def test_repair_loop_memo_rates(self, name, prefix):
+        metrics = MetricsRegistry()
+        assert export.summarize([], metrics)["caches"][name] is None
+        metrics.inc(prefix + ".memo_hits", 3)
+        metrics.inc(prefix + ".memo_misses", 1)
+        report = export.summarize([], metrics)
+        assert report["caches"][name] == pytest.approx(0.75)
+        assert f"{name} 75%" in export.render_summary(report)
+
 
 class TestModuleThroughput:
     def test_memo_hits_do_not_inflate_cycles_per_sec(self):
