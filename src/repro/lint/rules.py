@@ -178,7 +178,9 @@ class UndeclaredRule(Rule):
                     if isinstance(node, ast.Identifier):
                         used.add((node.name, node.location))
         reported = set()
-        for name, location in sorted(used, key=lambda u: (u[1].line, u[0])):
+        for name, location in sorted(
+            used, key=lambda u: (u[1].line, u[1].column, u[0])
+        ):
             if not context.is_declared(name) and name not in reported:
                 reported.add(name)
                 yield _diagnostic(

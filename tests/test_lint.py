@@ -1,7 +1,12 @@
 """Linter rule and template tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench import all_modules
 from repro.lint import (
     FIXABLE_WARNINGS,
@@ -44,6 +49,31 @@ class TestRules:
             "module m(input a, output y);\nassign y = a & ghost;\nendmodule"
         )
         assert "IMPLICIT" in codes(source)
+
+    def test_implicit_reported_at_earliest_use_at_any_hash_seed(self):
+        # 'zz' is used three times on its first line: the report must
+        # name the first use whatever order the hash seed gives a set.
+        source = (
+            "module m(input clk, output reg [3:0] q);\n"
+            "  always @(posedge clk) q <= zz + zz + zz;\nendmodule"
+        )
+        script = (
+            "import sys\nfrom repro.lint import lint_source\n"
+            "report = lint_source(sys.stdin.read())\n"
+            "print([str(d.location) for d in report.diagnostics "
+            "if d.code == 'IMPLICIT'])"
+        )
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src_dir,
+                                         os.environ.get("PYTHONPATH")])))
+            out = subprocess.run(
+                [sys.executable, "-c", script], input=source, env=env,
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            assert out.strip() == "['2:30']", (seed, out)
 
     def test_procedural_assign_to_wire(self):
         source = (
