@@ -1,5 +1,6 @@
 """Linter rule and template tests."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -265,3 +266,46 @@ class TestGoldenDesignsClean:
         report = lint_source(get_module(name).source)
         assert not report.errors
         assert not report.warnings_with_code(*FIXABLE_WARNINGS)
+
+
+@pytest.fixture(scope="module")
+def mutant_corpus():
+    """The golden sources plus every errgen mutant of them, deduplicated
+    in first-seen order."""
+    from repro.errgen.mutations import ALL_OPERATORS
+
+    texts = {}
+    for bench in all_modules():
+        texts.setdefault(bench.source)
+        for operator in ALL_OPERATORS:
+            for site in operator.sites(bench.source):
+                texts.setdefault(site.mutated_source)
+    return list(texts)
+
+
+class TestMutantCorpusPinned:
+    """Lint output over every golden source and errgen mutant, pinned
+    to a digest: a rule refactor must not move a single diagnostic."""
+
+    @pytest.mark.parametrize("enabled, parse_ok, expected", [
+        (None, 703,
+         "57fd4fa48e7c3e69cff1b955329f32050646e3c0231636bff35cd370130800f0"),
+        (["WIDTH"], 703,
+         "b6ad41b74ea4206834492443fbe23b16e6018b6e2883a89d1b1a806e76612836"),
+    ], ids=["all-rules", "width-only"])
+    def test_digest(self, mutant_corpus, enabled, parse_ok, expected):
+        from repro.lint import Linter
+
+        linter = Linter(enabled)
+        digest = hashlib.sha256()
+        parsed = 0
+        for text in mutant_corpus:
+            report = linter.lint(text)
+            parsed += report.parse_ok
+            digest.update(repr((report.parse_ok, [
+                (d.severity, d.code, d.message, d.location.line,
+                 d.location.column, d.hint)
+                for d in report.diagnostics
+            ])).encode())
+        assert (len(mutant_corpus), parsed) == (1196, parse_ok)
+        assert digest.hexdigest() == expected
