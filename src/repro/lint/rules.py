@@ -1,10 +1,33 @@
 """Semantic lint rules.
 
-Each rule inspects one module's AST and yields diagnostics.  Rules are
+Each rule reads one module's facts and yields diagnostics.  Rules are
 deliberately aligned with the Verilator warnings the paper's scripts
 target (COMBDLY, BLKSEQ, incomplete sensitivity) plus the broader checks
 a real lint pass performs (undeclared nets, wire/reg misuse, width
 mismatches, latch inference, multiple drivers, incomplete case).
+
+:class:`RuleContext` collects the facts in one pass over the module:
+
+- the declarations, with each name's declared width;
+- one :class:`ProcessFacts` per ``always`` block, ``initial`` block and
+  continuous assign, in module order.  One walk of an ``always`` or
+  ``initial`` body gives its ``Assign`` nodes in walk order (``for``
+  init and step included), each with the root names it writes, and the
+  block's written set, read set, ``Case`` nodes, ``for``-loop variables,
+  every identifier with its location, and the names assigned on every
+  path;
+- the instances.
+
+The read set follows one rule.  A statement reads every identifier of
+its conditions, case subjects and labels, loop conditions, task
+arguments and right-hand sides.  An assignment target reads the index
+and bound expressions along its ``Index``/``PartSelect`` chain and
+nothing inside the node where that chain ends, so nothing inside a
+concatenation target.  A continuous assign reads its right-hand side
+only.  Sensitivity entries are not in the read set.
+
+No rule walks an ``always`` or ``initial`` body again; the one walk left
+inside a rule is :class:`SyncAsyncRule` looking at its reset branch.
 """
 
 from dataclasses import dataclass
@@ -12,9 +35,113 @@ from dataclasses import dataclass
 from repro.hdl import ast
 
 
+class ProcessFacts:
+    """What one walk of an ``always``/``initial`` body, or one
+    continuous assign, finds.
+
+    ``assigns`` holds ``(assign, root names written)`` in walk order (a
+    continuous assign is its own single entry); ``identifiers`` holds
+    ``(name, location)`` for every identifier, sensitivity entries and
+    target bases included; ``listed`` is the set of sensitivity entries
+    that are plain identifiers; ``complete`` is the set of names
+    assigned on every path through the body.
+    """
+
+    def __init__(self, item):
+        self.item = item
+        self.assigns = []
+        self.written = set()
+        self.reads = set()
+        self.identifiers = []
+        self.cases = []
+        self.loop_vars = set()
+        self.listed = set()
+        self.complete = set()
+        if isinstance(item, ast.ContinuousAssign):
+            self._record(item)
+            self._expr(item.target, read=False)
+            self._expr(item.value)
+            return
+        if isinstance(item, ast.Always):
+            self._expr(item.sensitivity, read=False)
+            self.listed = {
+                expr.name for _, expr in item.sensitivity.events
+                if isinstance(expr, ast.Identifier)
+            }
+        self.complete = self._stmt(item.body)
+
+    def _record(self, assign):
+        names = _lhs_base_names(assign.target)
+        self.assigns.append((assign, names))
+        self.written.update(names)
+        return names
+
+    def _expr(self, expr, read=True):
+        for node in expr.walk():
+            if isinstance(node, ast.Identifier):
+                self.identifiers.append((node.name, node.location))
+                if read:
+                    self.reads.add(node.name)
+
+    def _stmt(self, stmt):
+        """Record ``stmt``; return the names it assigns on every path."""
+        if isinstance(stmt, ast.Block):
+            complete = set()
+            for inner in stmt.statements:
+                complete |= self._stmt(inner)
+            return complete
+        if isinstance(stmt, ast.Assign):
+            names = self._record(stmt)
+            node = stmt.target
+            while isinstance(node, (ast.Index, ast.PartSelect)):
+                if isinstance(node, ast.Index):
+                    self._expr(node.index)
+                else:
+                    self._expr(node.msb)
+                    self._expr(node.lsb)
+                node = node.base
+            self._expr(node, read=False)
+            self._expr(stmt.value)
+            return set(names)
+        if isinstance(stmt, ast.If):
+            self._expr(stmt.cond)
+            complete = self._stmt(stmt.then_stmt)
+            if stmt.else_stmt is None:
+                return set()
+            return complete & self._stmt(stmt.else_stmt)
+        if isinstance(stmt, ast.Case):
+            self.cases.append(stmt)
+            self._expr(stmt.subject)
+            branches = []
+            for item in stmt.items:
+                for label in item.labels:
+                    self._expr(label)
+                branches.append(self._stmt(item.body))
+            if not any(item.is_default for item in stmt.items):
+                return set()
+            return set.intersection(*branches)
+        if isinstance(stmt, ast.For):
+            for assign in (stmt.init, stmt.step):
+                name = _lhs_base_name(assign.target)
+                if name:
+                    self.loop_vars.add(name)
+            self._stmt(stmt.init)
+            self._expr(stmt.cond)
+            self._stmt(stmt.step)
+            return self._stmt(stmt.body)
+        if isinstance(stmt, ast.While):
+            self._expr(stmt.cond)
+            self._stmt(stmt.body)
+        elif isinstance(stmt, ast.SystemTaskCall):
+            for arg in stmt.args:
+                self._expr(arg)
+        return set()
+
+
 @dataclass
 class RuleContext:
-    """What a rule sees: one module plus the file for cross-module checks."""
+    """What a rule sees: one module's facts plus the file for
+    cross-module checks."""
 
     module: ast.Module
     source_file: ast.SourceFile
@@ -24,6 +151,8 @@ class RuleContext:
         self.memories = set()
         self.params = set()
         self.param_decls = {}
+        self.processes = []
+        self.instances = []
         for item in self.module.items:
             if isinstance(item, ast.NetDecl):
                 for name in item.names:
@@ -39,10 +168,36 @@ class RuleContext:
             elif isinstance(item, ast.ParamDecl):
                 self.params.add(item.name)
                 self.param_decls[item.name] = item
-        self.instance_names = {
-            item.name for item in self.module.items
-            if isinstance(item, ast.Instance)
-        }
+            elif isinstance(item, (ast.Always, ast.Initial,
+                                   ast.ContinuousAssign)):
+                self.processes.append(ProcessFacts(item))
+            elif isinstance(item, ast.Instance):
+                self.instances.append(item)
+        self.always = [
+            p for p in self.processes if isinstance(p.item, ast.Always)
+        ]
+        self.widths = self._declared_widths()
+
+    def _declared_widths(self):
+        """Name -> declared width, where the declaration fixes one."""
+        widths = {}
+        for name, entry in self.declared.items():
+            decl = entry["decl"]
+            if decl.range is None:
+                widths[name] = 1
+            else:
+                msb = _const_value(decl.range.msb)
+                lsb = _const_value(decl.range.lsb)
+                if msb is not None and lsb is not None:
+                    widths[name] = abs(msb - lsb) + 1
+            if entry["kind"] == "integer":
+                widths[name] = 32
+        # Sized parameters participate in width checking (a 2-bit state
+        # encoding assigned to a 1-bit reg is a truncation).
+        for name, decl in self.param_decls.items():
+            if isinstance(decl.value, ast.Number) and decl.value.width:
+                widths[name] = decl.value.width
+        return widths
 
     def kind_of(self, name):
         entry = self.declared.get(name)
@@ -58,13 +213,6 @@ def _diagnostic(severity, code, message, location, hint=""):
     from repro.lint.linter import Diagnostic
 
     return Diagnostic(severity, code, message, location, hint)
-
-
-def _assignments_in(stmt):
-    """Yield every Assign in a statement tree (including for init/step)."""
-    for node in stmt.walk():
-        if isinstance(node, ast.Assign):
-            yield node
 
 
 def _lhs_base_name(target):
@@ -88,61 +236,10 @@ def _lhs_base_names(target):
     return [name] if name else []
 
 
-def _read_identifiers(always):
-    """Names read inside an always body (RHS, conditions, indexes)."""
-    reads = set()
-
-    def visit_expr(expr):
-        for node in expr.walk():
-            if isinstance(node, ast.Identifier):
-                reads.add(node.name)
-
-    def visit_stmt(stmt):
-        if isinstance(stmt, ast.Block):
-            for inner in stmt.statements:
-                visit_stmt(inner)
-        elif isinstance(stmt, ast.Assign):
-            visit_expr(stmt.value)
-            node = stmt.target
-            while isinstance(node, (ast.Index, ast.PartSelect)):
-                if isinstance(node, ast.Index):
-                    visit_expr(node.index)
-                else:
-                    visit_expr(node.msb)
-                    visit_expr(node.lsb)
-                node = node.base
-        elif isinstance(stmt, ast.If):
-            visit_expr(stmt.cond)
-            visit_stmt(stmt.then_stmt)
-            if stmt.else_stmt:
-                visit_stmt(stmt.else_stmt)
-        elif isinstance(stmt, ast.Case):
-            visit_expr(stmt.subject)
-            for item in stmt.items:
-                for label in item.labels:
-                    visit_expr(label)
-                visit_stmt(item.body)
-        elif isinstance(stmt, ast.For):
-            visit_stmt(stmt.init)
-            visit_expr(stmt.cond)
-            visit_stmt(stmt.step)
-            visit_stmt(stmt.body)
-        elif isinstance(stmt, ast.While):
-            visit_expr(stmt.cond)
-            visit_stmt(stmt.body)
-        elif isinstance(stmt, ast.SystemTaskCall):
-            for arg in stmt.args:
-                visit_expr(arg)
-
-    visit_stmt(always.body)
-    return reads
-
-
 class Rule:
     """Base class; subclasses define ``code`` and ``check``."""
 
     code = ""
-    description = ""
 
     def check(self, context):
         raise NotImplementedError
@@ -159,29 +256,26 @@ class UndeclaredRule(Rule):
     code = "IMPLICIT"
 
     def check(self, context):
-        module = context.module
-        for item in module.items:
-            if isinstance(item, ast.Always):
-                for assign in _assignments_in(item.body):
-                    for name in _lhs_base_names(assign.target):
-                        if not context.is_declared(name):
-                            yield _diagnostic(
-                                "error", "UNDECLARED",
-                                f"procedural assignment to undeclared "
-                                f"variable '{name}'",
-                                assign.location,
-                            )
-        used = set()
-        for item in module.items:
-            if isinstance(item, (ast.Always, ast.ContinuousAssign, ast.Initial)):
-                for node in item.walk():
-                    if isinstance(node, ast.Identifier):
-                        used.add((node.name, node.location))
+        for block in context.always:
+            for assign, names in block.assigns:
+                for name in names:
+                    if not context.is_declared(name):
+                        yield _diagnostic(
+                            "error", "UNDECLARED",
+                            f"procedural assignment to undeclared "
+                            f"variable '{name}'",
+                            assign.location,
+                        )
+        uses = [
+            (name, location) for process in context.processes
+            for name, location in process.identifiers
+            if not context.is_declared(name)
+        ]
         reported = set()
         for name, location in sorted(
-            used, key=lambda u: (u[1].line, u[1].column, u[0])
+            uses, key=lambda u: (u[1].line, u[1].column, u[0])
         ):
-            if not context.is_declared(name) and name not in reported:
+            if name not in reported:
                 reported.add(name)
                 yield _diagnostic(
                     "warning", "IMPLICIT",
@@ -197,11 +291,9 @@ class ProceduralWireRule(Rule):
     code = "PROCASSWIRE"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
-                continue
-            for assign in _assignments_in(item.body):
-                for name in _lhs_base_names(assign.target):
+        for block in context.always:
+            for assign, names in block.assigns:
+                for name in names:
                     if context.kind_of(name) == "wire" and \
                             name not in context.memories:
                         yield _diagnostic(
@@ -218,17 +310,18 @@ class ContinuousRegRule(Rule):
     code = "CONTASSREG"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.ContinuousAssign):
+        for process in context.processes:
+            if not isinstance(process.item, ast.ContinuousAssign):
                 continue
-            for name in _lhs_base_names(item.target):
-                if context.kind_of(name) in ("reg", "integer"):
-                    yield _diagnostic(
-                        "error", "CONTASSREG",
-                        f"continuous assignment to reg '{name}' "
-                        f"(use a wire or assign inside always)",
-                        item.location,
-                    )
+            for assign, names in process.assigns:
+                for name in names:
+                    if context.kind_of(name) in ("reg", "integer"):
+                        yield _diagnostic(
+                            "error", "CONTASSREG",
+                            f"continuous assignment to reg '{name}' "
+                            f"(use a wire or assign inside always)",
+                            assign.location,
+                        )
 
 
 class CombDelayRule(Rule):
@@ -241,12 +334,10 @@ class CombDelayRule(Rule):
     code = "COMBDLY"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
+        for block in context.always:
+            if block.item.sensitivity.is_clocked:
                 continue
-            if item.sensitivity.is_clocked:
-                continue
-            for assign in _assignments_in(item.body):
+            for assign, _ in block.assigns:
                 if not assign.blocking:
                     yield _diagnostic(
                         "warning", "COMBDLY",
@@ -263,21 +354,13 @@ class BlockingSeqRule(Rule):
     code = "BLKSEQ"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
+        for block in context.always:
+            if not block.item.sensitivity.is_clocked:
                 continue
-            if not item.sensitivity.is_clocked:
-                continue
-            loop_temps = set()
-            for node in item.body.walk():
-                if isinstance(node, ast.For):
-                    for assign in (node.init, node.step):
-                        name = _lhs_base_name(assign.target)
-                        if name:
-                            loop_temps.add(name)
-            for assign in _assignments_in(item.body):
+            for assign, _ in block.assigns:
                 name = _lhs_base_name(assign.target)
-                if name in loop_temps or context.kind_of(name) == "integer":
+                if name in block.loop_vars or \
+                        context.kind_of(name) == "integer":
                     continue
                 if assign.blocking:
                     yield _diagnostic(
@@ -295,22 +378,12 @@ class SensitivityRule(Rule):
     code = "SENSMISS"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
-                continue
-            control = item.sensitivity
+        for block in context.always:
+            control = block.item.sensitivity
             if control.star or control.is_clocked:
                 continue
-            listed = {
-                expr.name for _, expr in control.events
-                if isinstance(expr, ast.Identifier)
-            }
-            reads = _read_identifiers(item)
-            written = set()
-            for assign in _assignments_in(item.body):
-                written.update(_lhs_base_names(assign.target))
             missing = sorted(
-                (reads - listed - written - context.params)
+                (block.reads - block.listed - block.written - context.params)
                 & set(context.declared)
             )
             if missing:
@@ -318,7 +391,7 @@ class SensitivityRule(Rule):
                     "warning", "SENSMISS",
                     f"sensitivity list is missing signal(s): "
                     f"{', '.join(missing)}",
-                    item.location,
+                    block.item.location,
                     hint="use always @(*)",
                 )
 
@@ -336,16 +409,10 @@ class SyncAsyncRule(Rule):
     code = "SYNCASYNC"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
+        for block in context.always:
+            item = block.item
+            if not item.sensitivity.is_clocked:
                 continue
-            control = item.sensitivity
-            if not control.is_clocked:
-                continue
-            listed = {
-                expr.name for _, expr in control.events
-                if isinstance(expr, ast.Identifier)
-            }
             body = item.body
             if isinstance(body, ast.Block) and body.statements:
                 body = body.statements[0]
@@ -356,7 +423,7 @@ class SyncAsyncRule(Rule):
                     isinstance(cond.operand, ast.Identifier)):
                 continue
             reset_name = cond.operand.name
-            if reset_name in listed:
+            if reset_name in block.listed:
                 continue
             if not self._constant_branch(body.then_stmt, context):
                 continue
@@ -370,7 +437,7 @@ class SyncAsyncRule(Rule):
 
     def _constant_branch(self, stmt, context):
         """All assignments write literal constants or parameters."""
-        assigns = list(_assignments_in(stmt))
+        assigns = [n for n in stmt.walk() if isinstance(n, ast.Assign)]
         if not assigns:
             return False
         return all(
@@ -387,23 +454,7 @@ class WidthRule(Rule):
     code = "WIDTH"
 
     def check(self, context):
-        widths = {}
-        for name, entry in context.declared.items():
-            decl = entry["decl"]
-            if decl.range is None:
-                widths[name] = 1
-            else:
-                msb = _const_value(decl.range.msb)
-                lsb = _const_value(decl.range.lsb)
-                if msb is not None and lsb is not None:
-                    widths[name] = abs(msb - lsb) + 1
-            if entry["kind"] == "integer":
-                widths[name] = 32
-        # Sized parameters participate in width checking (a 2-bit state
-        # encoding assigned to a 1-bit reg is a truncation).
-        for name, decl in context.param_decls.items():
-            if isinstance(decl.value, ast.Number) and decl.value.width:
-                widths[name] = decl.value.width
+        widths = context.widths
 
         def expr_width(expr):
             if isinstance(expr, ast.Number):
@@ -429,38 +480,30 @@ class WidthRule(Rule):
                 return abs(msb - lsb) + 1
             return None  # operators: context-determined, skip
 
-        checks = []
-        for item in context.module.items:
-            if isinstance(item, ast.ContinuousAssign):
-                checks.append((item.target, item.value, item.location))
-            elif isinstance(item, ast.Always):
-                for assign in _assignments_in(item.body):
-                    checks.append(
-                        (assign.target, assign.value, assign.location)
-                    )
-        for target, value, location in checks:
-            target_width = expr_width(target) if not isinstance(
-                target, ast.Concat
-            ) else expr_width(target)
-            value_width = expr_width(value)
-            if target_width is None or value_width is None:
+        for process in context.processes:
+            if isinstance(process.item, ast.Initial):
                 continue
-            if value_width > target_width:
-                yield _diagnostic(
-                    "warning", "WIDTHTRUNC",
-                    f"assignment truncates {value_width} bits to "
-                    f"{target_width}",
-                    location,
-                )
-            elif value_width < target_width and not isinstance(
-                value, ast.Number
-            ):
-                yield _diagnostic(
-                    "warning", "WIDTHEXPAND",
-                    f"assignment expands {value_width} bits to "
-                    f"{target_width}",
-                    location,
-                )
+            for assign, _ in process.assigns:
+                target_width = expr_width(assign.target)
+                value_width = expr_width(assign.value)
+                if target_width is None or value_width is None:
+                    continue
+                if value_width > target_width:
+                    yield _diagnostic(
+                        "warning", "WIDTHTRUNC",
+                        f"assignment truncates {value_width} bits to "
+                        f"{target_width}",
+                        assign.location,
+                    )
+                elif value_width < target_width and not isinstance(
+                    assign.value, ast.Number
+                ):
+                    yield _diagnostic(
+                        "warning", "WIDTHEXPAND",
+                        f"assignment expands {value_width} bits to "
+                        f"{target_width}",
+                        assign.location,
+                    )
 
 
 class LatchRule(Rule):
@@ -469,50 +512,17 @@ class LatchRule(Rule):
     code = "LATCH"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
+        for block in context.always:
+            if block.item.sensitivity.is_clocked:
                 continue
-            if item.sensitivity.is_clocked:
-                continue
-            all_targets = set()
-            for assign in _assignments_in(item.body):
-                all_targets.update(_lhs_base_names(assign.target))
-            complete = self._always_assigned(item.body)
-            for name in sorted(all_targets - complete):
+            for name in sorted(block.written - block.complete):
                 if context.kind_of(name) in ("reg", None):
                     yield _diagnostic(
                         "warning", "LATCH",
                         f"'{name}' is not assigned on all paths of a "
                         f"combinational block (latch inferred)",
-                        item.location,
+                        block.item.location,
                     )
-
-    def _always_assigned(self, stmt):
-        """Set of names assigned on *every* path through ``stmt``."""
-        if isinstance(stmt, ast.Block):
-            assigned = set()
-            for inner in stmt.statements:
-                assigned |= self._always_assigned(inner)
-            return assigned
-        if isinstance(stmt, ast.Assign):
-            return set(_lhs_base_names(stmt.target))
-        if isinstance(stmt, ast.If):
-            if stmt.else_stmt is None:
-                return set()
-            return self._always_assigned(stmt.then_stmt) & \
-                self._always_assigned(stmt.else_stmt)
-        if isinstance(stmt, ast.Case):
-            has_default = any(item.is_default for item in stmt.items)
-            if not has_default or not stmt.items:
-                return set()
-            result = None
-            for item in stmt.items:
-                branch = self._always_assigned(item.body)
-                result = branch if result is None else (result & branch)
-            return result or set()
-        if isinstance(stmt, ast.For):
-            return self._always_assigned(stmt.body)
-        return set()
 
 
 class MultiDrivenRule(Rule):
@@ -522,15 +532,11 @@ class MultiDrivenRule(Rule):
 
     def check(self, context):
         drivers = {}
-        for item in context.module.items:
-            targets = set()
-            if isinstance(item, ast.ContinuousAssign):
-                targets.update(_lhs_base_names(item.target))
-            elif isinstance(item, ast.Always):
-                for assign in _assignments_in(item.body):
-                    targets.update(_lhs_base_names(assign.target))
-            for name in targets:
-                drivers.setdefault(name, []).append(item)
+        for process in context.processes:
+            if isinstance(process.item, ast.Initial):
+                continue
+            for name in process.written:
+                drivers.setdefault(name, []).append(process.item)
         for name, items in sorted(drivers.items()):
             if len(items) > 1 and name not in context.memories:
                 yield _diagnostic(
@@ -546,25 +552,14 @@ class CaseIncompleteRule(Rule):
     code = "CASEINCOMPLETE"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Always):
-                continue
-            for node in item.body.walk():
-                if not isinstance(node, ast.Case):
-                    continue
+        for block in context.always:
+            for node in block.cases:
                 if any(ci.is_default for ci in node.items):
                     continue
                 label_count = sum(len(ci.labels) for ci in node.items)
                 subject_width = None
                 if isinstance(node.subject, ast.Identifier):
-                    entry = context.declared.get(node.subject.name)
-                    if entry and entry["decl"].range is not None:
-                        msb = _const_value(entry["decl"].range.msb)
-                        lsb = _const_value(entry["decl"].range.lsb)
-                        if msb is not None and lsb is not None:
-                            subject_width = abs(msb - lsb) + 1
-                    elif entry:
-                        subject_width = 1
+                    subject_width = context.widths.get(node.subject.name)
                 if subject_width is None or label_count < (1 << subject_width):
                     yield _diagnostic(
                         "warning", "CASEINCOMPLETE",
@@ -582,34 +577,19 @@ class UnusedRule(Rule):
     def check(self, context):
         read = set()
         written = set()
-        for item in context.module.items:
-            if isinstance(item, (ast.Always, ast.Initial)):
-                if isinstance(item, ast.Always):
-                    read |= _read_identifiers(item)
-                    for _, expr in item.sensitivity.events:
-                        if isinstance(expr, ast.Identifier):
-                            read.add(expr.name)
-                else:
-                    read |= {
-                        n.name for n in item.walk()
-                        if isinstance(n, ast.Identifier)
-                    }
-                for assign in _assignments_in(
-                    item.body if hasattr(item, "body") else item
-                ):
-                    written.update(_lhs_base_names(assign.target))
-            elif isinstance(item, ast.ContinuousAssign):
-                for node in item.value.walk():
-                    if isinstance(node, ast.Identifier):
-                        read.add(node.name)
-                written.update(_lhs_base_names(item.target))
-            elif isinstance(item, ast.Instance):
-                for conn in item.connections:
-                    if conn.expr is not None:
-                        for node in conn.expr.walk():
-                            if isinstance(node, ast.Identifier):
-                                read.add(node.name)
-                                written.add(node.name)
+        for process in context.processes:
+            if isinstance(process.item, ast.Initial):
+                read.update(name for name, _ in process.identifiers)
+            else:
+                read |= process.reads | process.listed
+            written |= process.written
+        for item in context.instances:
+            for conn in item.connections:
+                if conn.expr is not None:
+                    for node in conn.expr.walk():
+                        if isinstance(node, ast.Identifier):
+                            read.add(node.name)
+                            written.add(node.name)
         outputs = {
             name for name, entry in context.declared.items()
             if entry["direction"] in ("output", "inout")
@@ -638,16 +618,12 @@ class UndrivenRule(Rule):
 
     def check(self, context):
         written = set()
-        for item in context.module.items:
-            if isinstance(item, (ast.Always, ast.Initial)):
-                for assign in _assignments_in(item.body):
-                    written.update(_lhs_base_names(assign.target))
-            elif isinstance(item, ast.ContinuousAssign):
-                written.update(_lhs_base_names(item.target))
-            elif isinstance(item, ast.Instance):
-                for conn in item.connections:
-                    if conn.expr is not None:
-                        written.update(_lhs_base_names(conn.expr))
+        for process in context.processes:
+            written |= process.written
+        for item in context.instances:
+            for conn in item.connections:
+                if conn.expr is not None:
+                    written.update(_lhs_base_names(conn.expr))
         for name, entry in sorted(context.declared.items()):
             if entry["direction"] == "output" and name not in written:
                 yield _diagnostic(
@@ -663,9 +639,7 @@ class PortConnectRule(Rule):
     code = "PORTCONNECT"
 
     def check(self, context):
-        for item in context.module.items:
-            if not isinstance(item, ast.Instance):
-                continue
+        for item in context.instances:
             target = context.source_file.find_module(item.module_name)
             if target is None:
                 yield _diagnostic(
