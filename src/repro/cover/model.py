@@ -255,14 +255,6 @@ class CoverModel:
             return 1.0
         return sum(i.coverage for i in items) / len(items)
 
-    @property
-    def covered_bins(self):
-        return sum(i.covered for i in self._items())
-
-    @property
-    def total_bins(self):
-        return sum(i.total for i in self._items())
-
     def report(self):
         lines = [f"covergroup {self.name}:"]
         for point in self.points:

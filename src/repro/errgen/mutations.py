@@ -507,21 +507,6 @@ class AssignmentTiming(MutationOperator):
         return results
 
 
-class SensitivityDrop(MutationOperator):
-    """Drop the reset edge, leaving an async-reset body behind a
-    synchronous sensitivity list (fixable by the SYNCASYNC template)."""
-
-    # NOTE: this shares Table I's "wrong sensitivity" symptom with
-    # SensitivityMisuse but is registered separately so experiments can
-    # attribute its (pre-processing) fixes distinctly.
-    name = "sensitivity_drop"
-    kind = "functional"
-    paper_class = "flawed_conditions"
-
-    def sites(self, source):
-        return []  # folded into SensitivityMisuse; kept for API compat
-
-
 class PortMismatch(MutationOperator):
     """Corrupt an instance connection (Table I: port mismatch)."""
 

@@ -8,8 +8,6 @@ through :mod:`repro.locate.dfg` — the report an engineer starts from
 instead of re-running by hand.
 """
 
-from repro.sim.values import Value
-
 
 def _value_dict(value):
     if value is None:
@@ -20,13 +18,6 @@ def _value_dict(value):
         "width": int(value.width),
         "verilog": value.to_verilog_bits(),
     }
-
-
-def value_from_dict(data):
-    """Inverse of the serialized value shape in divergence reports."""
-    if data is None:
-        return None
-    return Value(data["bits"], data["width"], data["xmask"])
 
 
 def _first_diff_time(golden, candidate):

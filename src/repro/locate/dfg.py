@@ -45,9 +45,6 @@ class DataFlowGraph:
     def defs_of(self, signal):
         return [site for site in self.sites if site.target == signal]
 
-    def readers_of(self, signal):
-        return [site for site in self.sites if signal in site.reads]
-
     def dependencies(self, signal):
         """All signals ``signal`` transitively depends on."""
         seen = set()
@@ -60,10 +57,6 @@ class DataFlowGraph:
                         seen.add(read)
                         frontier.append(read)
         return seen
-
-    def lines_for(self, signal):
-        """Source lines of all definition sites of ``signal``."""
-        return sorted({site.line for site in self.defs_of(signal)})
 
 
 def _expr_reads(expr):

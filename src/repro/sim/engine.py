@@ -29,10 +29,6 @@ class SimulationError(Exception):
     """Raised on runaway delta cycles or unexecutable statements."""
 
 
-class _BreakLoop(Exception):
-    """Internal: loop guard exceeded."""
-
-
 class Simulator:
     """Simulates an elaborated :class:`Design`.
 

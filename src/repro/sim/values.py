@@ -32,10 +32,6 @@ class Value:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_int(value, width=32, signed=False):
-        return Value(bits=value, width=width, signed=signed)
-
-    @staticmethod
     def all_x(width):
         return Value(bits=0, width=width, xmask=_mask(width))
 
