@@ -30,7 +30,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import fields
 
 from repro.obs import trace
 from repro.obs.metrics import GLOBAL as _metrics
@@ -39,8 +39,12 @@ from repro.runner.grid import CACHE_SCHEMA_VERSION
 
 
 def record_to_dict(record):
-    """Serialize an ``InstanceRecord`` for the JSON cache."""
-    return asdict(record)
+    """Serialize an ``InstanceRecord`` for the JSON cache.
+
+    A shallow field dict: the result only goes to ``json.dumps``, and
+    ``dataclasses.asdict`` would deep-copy each coverage fragment first.
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def record_from_dict(data):

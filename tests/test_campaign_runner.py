@@ -9,6 +9,7 @@ The load-bearing guarantees:
 - round-robin shards partition the grid exactly once.
 """
 
+import dataclasses
 import json
 import os
 
@@ -105,6 +106,15 @@ class TestCache:
         cold = CampaignRunner(jobs=1, cache=cold_cache).run(units)
         assert cold_cache.hits == 0
         assert cold_cache.writes == len(units)
+        # Each entry is byte-identical to the deep-copying asdict codec
+        # the cache used to write with.
+        for unit, record in zip(units, cold):
+            key = unit.cache_key()
+            with open(os.path.join(cold_cache.unit_dir, key + ".json")) as f:
+                assert f.read() == json.dumps({
+                    "schema": cold_cache.schema, "key": key,
+                    "record": dataclasses.asdict(record),
+                })
 
         warm_cache = ResultCache(tmp_path)
         warm = CampaignRunner(jobs=1, cache=warm_cache).run(units)
