@@ -5,8 +5,9 @@ localization engine can map data-flow facts back to source lines, and so
 repair agents can quote exact line numbers in their prompts.
 
 Nodes are plain dataclasses.  :meth:`Node.children` yields nested nodes
-generically, which the DFG builder, the mutation engine and the printer
-all rely on for traversal.
+generically, and :meth:`Node.walk` builds on it; the lint rules, the
+elaborator, the levelizer, the DFG builder and code coverage traverse
+trees with them.
 """
 
 from dataclasses import dataclass, field, fields

@@ -9,7 +9,7 @@ mismatches, latch inference, multiple drivers, incomplete case).
 :class:`RuleContext` collects the facts in one pass over the module:
 
 - the declarations, with each name's declared width;
-- one :class:`ProcessFacts` per ``always`` block, ``initial`` block and
+- one :class:`_ProcessFacts` per ``always`` block, ``initial`` block and
   continuous assign, in module order.  One walk of an ``always`` or
   ``initial`` body gives its ``Assign`` nodes in walk order (``for``
   init and step included), each with the root names it writes, and the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from repro.hdl import ast
 
 
-class ProcessFacts:
+class _ProcessFacts:
     """What one walk of an ``always``/``initial`` body, or one
     continuous assign, finds.
 
@@ -170,7 +170,7 @@ class RuleContext:
                 self.param_decls[item.name] = item
             elif isinstance(item, (ast.Always, ast.Initial,
                                    ast.ContinuousAssign)):
-                self.processes.append(ProcessFacts(item))
+                self.processes.append(_ProcessFacts(item))
             elif isinstance(item, ast.Instance):
                 self.instances.append(item)
         self.always = [

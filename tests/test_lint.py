@@ -176,6 +176,15 @@ class TestRules:
         )
         assert "CASEINCOMPLETE" in codes(source)
 
+    def test_case_incomplete_reads_the_declared_width_table(self):
+        # An integer subject has 32 bits, so two labels leave values out.
+        source = (
+            "module m(input clk, output reg y);\ninteger i;\n"
+            "always @(posedge clk) begin\ncase (i) 0: y <= 1'b0;"
+            " 1: y <= 1'b1; endcase\nend\nendmodule"
+        )
+        assert "CASEINCOMPLETE" in codes(source)
+
     def test_unused_input(self):
         source = (
             "module m(input a, input b, output y);\nassign y = a;\nendmodule"
