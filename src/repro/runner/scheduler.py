@@ -394,6 +394,21 @@ class CampaignRunner:
             except Exception:
                 pass
 
+    @classmethod
+    def _retire_pool(cls, pool, kill):
+        """Shut a pool down and join its threads.
+
+        ``shutdown(wait=False)`` would drop the executor's handle on
+        its manager thread, leaving that thread and the call queue's
+        feeder running beside the next pool's fork.  ``kill`` SIGKILLs
+        the workers first (a broken, reclaimed or interrupted pool),
+        so the join never waits on a wedged unit; ``shutdown`` drops
+        the process map, so the kill must come before it.
+        """
+        if kill:
+            cls._kill_pool(pool)
+        pool.shutdown(wait=True)
+
     def _deadline(self):
         """Scheduler-side reclaim deadline for one dispatch, or None
         when timeouts are off."""
@@ -476,8 +491,6 @@ class CampaignRunner:
                         if policy.fail_fast:
                             if first_error is None:
                                 first_error = exc
-                                pool.shutdown(wait=False,
-                                              cancel_futures=True)
                             continue
                         if first_error is None:
                             self._after_infra_failure(
@@ -497,8 +510,6 @@ class CampaignRunner:
                             # of being recomputed on retry.
                             if first_error is None:
                                 first_error = exc
-                                pool.shutdown(wait=False,
-                                              cancel_futures=True)
                             continue
                         if first_error is None:
                             self._quarantine(units, task.position,
@@ -524,7 +535,7 @@ class CampaignRunner:
                     deadlines.clear()
                     if policy.fail_fast and first_error is None:
                         first_error = broken_exc
-                    pool.shutdown(wait=False)
+                    self._retire_pool(pool, kill=True)
                     if first_error is None:
                         self._bump("faults.pool_respawns")
                         pool = self._spawn_pool(workers)
@@ -570,14 +581,7 @@ class CampaignRunner:
             interrupted = True
             raise
         finally:
-            if interrupted:
-                # Kill before shutdown: shutdown() drops the process
-                # map, and waiting for a wedged worker would hang the
-                # very Ctrl-C the user just pressed.
-                self._kill_pool(pool)
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True)
+            self._retire_pool(pool, kill=interrupted)
 
     # -- failure handling (shared by both paths) -------------------------
 

@@ -13,9 +13,11 @@ the rest of the parallel-runner suite.
 """
 
 import collections
+import concurrent.futures
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -399,6 +401,58 @@ class TestPoolFaults:
         assert not any(r.get("poisoned") for r in records)
         assert sorted(r["n"] for r in records) == [0, 1, 2]
         assert runner.fault_stats["worker_deaths"] >= 2
+
+
+# -- pool lifecycle ----------------------------------------------------------
+
+def _threads_since(baseline):
+    return [thread for thread in threading.enumerate()
+            if thread not in baseline]
+
+
+@pytest.mark.campaign
+class TestPoolLifecycle:
+    def test_fail_fast_leaves_no_pool_thread_alive(self):
+        baseline = set(threading.enumerate())
+        plan = faultinject.make_plan([
+            {"site": "unit", "match": "toy-1", "kind": "raise",
+             "times": 9},
+        ])
+        with faultinject.plan_scope(plan):
+            with pytest.raises(InjectedFault):
+                CampaignRunner(jobs=2, executor=run_toy,
+                               policy=quick_policy(fail_fast=True),
+                               ).run(toys(4))
+        assert _threads_since(baseline) == []
+
+    def test_no_pool_forks_beside_an_earlier_pools_threads(
+            self, monkeypatch):
+        # Workers fork at a pool's first submit; a thread of the
+        # retired pool alive at that moment could hold a lock the
+        # child inherits.
+        baseline = set(threading.enumerate())
+        leftovers = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if not getattr(self, "_submitted", False):
+                    self._submitted = True
+                    leftovers.append(_threads_since(baseline))
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        plan = faultinject.make_plan([
+            {"site": "unit", "match": "toy-1", "kind": "crash",
+             "times": 1},
+        ])
+        with faultinject.plan_scope(plan):
+            runner = CampaignRunner(jobs=2, executor=run_toy,
+                                    policy=quick_policy())
+            runner.run(toys(4))
+        assert runner.fault_stats["pool_respawns"] == 1
+        assert leftovers == [[], []]
+        assert _threads_since(baseline) == []
 
 
 # -- shared-cache landing after a pool crash ---------------------------------
