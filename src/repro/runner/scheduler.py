@@ -451,10 +451,13 @@ class CampaignRunner:
                 if first_error is not None and not in_flight:
                     break
                 now = time.monotonic()
-                if first_error is None:
+                solo_running = any(solo for _, solo in in_flight.values())
+                if first_error is None and not solo_running:
                     if probation:
-                        # Probation dispatches run strictly solo:
-                        # if the worker dies now, blame is unambiguous.
+                        # Probation dispatches run strictly solo, and
+                        # nothing is dispatched beside a solo task
+                        # until it finishes: if the worker dies, blame
+                        # is unambiguous.
                         if not in_flight:
                             task = probation[0]
                             if task.not_before <= now:

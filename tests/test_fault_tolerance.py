@@ -402,6 +402,26 @@ class TestPoolFaults:
         assert sorted(r["n"] for r in records) == [0, 1, 2]
         assert runner.fault_stats["worker_deaths"] >= 2
 
+    def test_solo_rerun_runs_alone(self):
+        # toy-0 is slow but healthy; each sibling crashes its worker
+        # once.  toy-0 re-runs solo after the first crash, and a
+        # sibling dispatched beside it would turn the next crash into
+        # a strike against toy-0.
+        plan = faultinject.make_plan([
+            {"site": "unit", "match": "toy-0", "kind": "hang",
+             "seconds": 1.0, "times": 99},
+        ] + [
+            {"site": "unit", "match": f"toy-{n}", "kind": "crash",
+             "times": 1}
+            for n in (1, 2, 3)
+        ])
+        with faultinject.plan_scope(plan):
+            records = CampaignRunner(jobs=2, executor=run_toy,
+                                     poisoned_factory=toy_poisoned,
+                                     policy=quick_policy()).run(toys(5))
+        assert records == CampaignRunner(jobs=1,
+                                         executor=run_toy).run(toys(5))
+
 
 # -- pool lifecycle ----------------------------------------------------------
 
