@@ -7,8 +7,11 @@ pool of work units:
 
 - :mod:`repro.runner.grid` — expand a dataset/method spec into
   :class:`WorkUnit`\\ s; shard them round-robin for multi-host runs;
-- :mod:`repro.runner.scheduler` — execute units serially or across a
-  ``ProcessPoolExecutor``, bit-identical either way;
+- :mod:`repro.runner.scheduler` — one dispatch loop at every ``jobs``
+  (in process at 1, a ``ProcessPoolExecutor`` above), bit-identical
+  either way; each unit is pending, waiting, running or landed, and
+  a failure is a strike only when the unit ran alone or its own
+  alarm or deadline fired;
 - :mod:`repro.runner.cache` — content-hash-keyed JSON store so
   interrupted or repeated campaigns resume instantly;
 - :mod:`repro.runner.report` — throttled progress/ETA lines on stderr.

@@ -30,6 +30,16 @@ from typing import Optional
 #: Failure kinds a poisoned record can carry (``failure_kind``).
 FAILURE_KINDS = ("worker-death", "timeout", "exception")
 
+#: Strikes a unit survives before quarantine: a strike is a failure
+#: blamed on the unit alone (its own timeout, or a worker death while
+#: it ran solo), so 2 means "a unit that kills its worker twice is
+#: poisoned".
+MAX_STRIKES = 2
+
+#: Attempts to persist one finished record before the scheduler gives
+#: up on caching it (the record is still returned).
+CACHE_WRITE_RETRIES = 3
+
 
 class UnitTimeout(Exception):
     """A unit exceeded its wall-clock budget (picklable: raised inside
@@ -71,27 +81,22 @@ class FaultPolicy:
 
     ``unit_timeout`` of ``None`` disables both the worker-side alarm
     and the scheduler-side deadline (the historical behaviour: a hung
-    unit hangs the campaign).  ``max_strikes`` is how many
-    infrastructure failures blamed on a unit (its own timeout, or a
-    worker death while it ran solo) it survives before quarantine —
-    the default 2 implements "a unit that kills its worker twice is
-    poisoned".  ``backoff`` seeds the deterministic exponential
-    re-dispatch delay ``backoff * 2**(strikes-1)``.  ``fail_fast``
-    restores abort-on-first-failure for every failure family.
+    unit hangs the campaign).  ``backoff`` seeds the deterministic
+    exponential re-dispatch delay ``backoff * 2**(strikes-1)``.
+    ``fail_fast`` restores abort-on-first-failure for every failure
+    family.
     """
 
     unit_timeout: Optional[float] = None
-    max_strikes: int = 2
     backoff: float = 0.1
     fail_fast: bool = False
-    cache_write_retries: int = 3
 
 
 _DEFAULT_POLICY = FaultPolicy()
 
 
 def get_default_policy():
-    """The process-wide policy ``run_units(policy=None)`` resolves to."""
+    """The process-wide policy ``run_units`` starts from."""
     return _DEFAULT_POLICY
 
 

@@ -1,33 +1,46 @@
-"""Campaign execution: serial or process-pool, cache-aware,
-fault-tolerant.
+"""Campaign execution: one cache-aware, fault-tolerant dispatch loop.
 
 The scheduler owns no experiment semantics.  A :class:`WorkUnit` is
 executed by ``repro.experiments.runner.run_unit`` (imported lazily so
 the experiments layer can itself depend on this package without an
 import cycle); everything here is generic plumbing: resolve cache
-hits, fan the misses out over a ``ProcessPoolExecutor``, persist each
-finished record from the parent process, and return records in grid
-order.
+hits, dispatch the misses, persist each finished record from the
+parent process, and return records in grid order.
 
-Because every unit is seeded from its own fields and shares no mutable
-state with its siblings, results are bit-identical whether ``jobs`` is
-1 (plain in-process loop) or N — the only observable difference is
-wall-clock time.
+One loop dispatches at every ``jobs``.  Above 1 it submits to a
+``ProcessPoolExecutor`` as wide as ``jobs``; at 1 to an in-process
+executor whose ``submit`` runs the unit before it returns (no worker,
+no pickling, and the per-process memos persist across units).  Every
+unit is seeded from its own fields and shares no mutable state with
+its siblings, so results are bit-identical at any ``jobs`` — the only
+observable difference is wall-clock time.
 
 Fault tolerance (see :mod:`repro.runner.faults`): campaigns are
-run-to-completion by default.  Infrastructure failures — a worker
-killed mid-unit (``BrokenProcessPool``), a unit past its
-``unit_timeout`` wall-clock budget, cache I/O errors — are retried
-with bounded deterministic backoff; after a pool breakage the pool is
-respawned, each suspect is re-checked against the on-disk cache (a
-sibling shard may have landed its record meanwhile), and the rest
-re-run *solo* so crash blame is unambiguous.  A unit
-that kills its worker twice, or an exception the unit itself raises
-(deterministic — retrying cannot change it), becomes a structured
+run-to-completion by default.  Every task not answered by the cache
+is in exactly one state:
+
+- *pending*: never run, or collateral of a pool the scheduler killed
+  itself;
+- *waiting*: struck or suspected; it re-runs solo once its
+  deterministic backoff has passed;
+- *running*: its future, its solo flag and its reclaim deadline;
+- *landed*: its record, a cache hit or a poisoned record.
+
+One transition takes a task out of *running*, whatever the outcome: a
+record lands; a unit that raised is quarantined at once (re-running a
+pure function of its fields would raise identically); a
+``UnitTimeout`` is a strike; a broken pool makes every running task a
+suspect, re-checked against the on-disk cache in case a sibling shard
+landed its record meanwhile.  One blame rule decides strikes: a
+failure is a strike only when the task ran alone, or when its own
+alarm or deadline fired.  A solo task runs alone until it finishes,
+so a unit is never poisoned for a sibling's crash.  At
+``faults.MAX_STRIKES`` strikes a task lands as a structured
 ``"poisoned"`` record and the campaign continues; ``fail_fast``
-restores abort-on-first-error.  Retries never apply to landed
-records, so a faulty run's surviving records stay bit-identical to a
-fault-free ``--jobs 1`` run.
+instead stops dispatch at the first failure, lets running units land,
+and raises it.  Retries never apply to landed records, so a faulty
+run's surviving records stay bit-identical to a fault-free
+``--jobs 1`` run.
 
 Observability: each executed unit ships one ``StatsDelta`` (a
 :meth:`repro.obs.metrics.MetricsRegistry.delta` dict) back with its
@@ -58,8 +71,8 @@ from repro.runner.cache import ResultCache
 from repro.runner.faults import CampaignInterrupted, UnitTimeout
 from repro.runner.report import ProgressReporter
 
-#: Poll interval of the parallel dispatch loop: bounds how quickly the
-#: scheduler notices an expired deadline or a pending probation task.
+#: Poll interval of the dispatch loop: bounds how quickly the
+#: scheduler notices an expired deadline or a waiting task's backoff.
 _TICK = 0.25
 
 #: Scheduler-side deadline for one dispatched unit: the worker-side
@@ -138,17 +151,80 @@ def _execute_with_stats(executor, unit, timeout=None):
 
 
 class _Task:
-    """One dispatchable grid position plus its failure history:
-    ``strikes`` counts the infrastructure failures blamed on it,
-    ``not_before`` is the deterministic-backoff earliest re-dispatch
-    time."""
+    """One grid position and its failure history: ``strikes`` counts
+    the failures blamed on it, ``not_before`` is the earliest time it
+    may leave *waiting*.  While it runs, ``solo`` says nothing runs
+    beside it and ``deadline`` is its scheduler-side reclaim time
+    (``None`` without a unit timeout)."""
 
-    __slots__ = ("position", "strikes", "not_before")
+    __slots__ = ("position", "strikes", "not_before", "solo", "deadline")
 
     def __init__(self, position):
         self.position = position
         self.strikes = 0
         self.not_before = 0.0
+        self.solo = False
+        self.deadline = None
+
+
+def _blame(exc, task, reclaimed):
+    """The one blame rule: ``(kind, strike)`` for a task that left
+    *running* with ``exc``.  A failure is a strike only when the task
+    ran alone, or when its own alarm or deadline fired.  ``reclaimed``
+    is when the scheduler killed this task's pool to reclaim an
+    overdue unit (``None`` if it did not); its other tasks are
+    collateral, kind ``None``."""
+    if isinstance(exc, UnitTimeout):
+        return "timeout", True
+    if not isinstance(exc, _POOL_BROKEN):
+        return "exception", False
+    if reclaimed is None:
+        return "worker-death", task.solo
+    if task.deadline <= reclaimed:
+        return "timeout", True
+    return None, False
+
+
+class _InlineExecutor(concurrent.futures.Executor):
+    """The ``jobs`` 1 executor: ``submit`` runs the call in this
+    process and returns its finished future.  Interrupts propagate
+    rather than landing in the future."""
+
+    def submit(self, fn, /, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except CampaignInterrupted:
+            raise
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _kill_pool(pool):
+    """SIGKILL every worker process of a pool (the executor then
+    reports BrokenProcessPool for all of its running futures)."""
+    # _processes is None once shutdown() has run, not just absent.
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.kill()
+        except Exception:
+            pass
+
+
+def _retire_pool(pool, kill):
+    """Shut a pool down and join its threads.
+
+    ``shutdown(wait=False)`` would drop the executor's handle on its
+    manager thread, leaving that thread and the call queue's feeder
+    running beside the next pool's fork.  ``kill`` SIGKILLs the
+    workers first (a broken, reclaimed or interrupted pool), so the
+    join never waits on a wedged unit; ``shutdown`` drops the process
+    map, so the kill must come before it.
+    """
+    if kill:
+        _kill_pool(pool)
+    pool.shutdown(wait=True)
 
 
 def _raise_on_sigterm(_signum, _frame):
@@ -309,10 +385,8 @@ class CampaignRunner:
         restore_sigterm = self._install_sigterm()
         try:
             try:
-                if tasks and self.jobs == 1:
-                    self._run_serial(units, tasks, land, resolve_cached)
-                elif tasks:
-                    self._run_pool(units, tasks, land, resolve_cached)
+                if tasks:
+                    self._dispatch(units, tasks, land, resolve_cached)
             except KeyboardInterrupt as exc:
                 raise CampaignInterrupted("interrupted (SIGINT)",
                                           done=done, total=total) from exc
@@ -344,70 +418,13 @@ class CampaignRunner:
             return lambda: None
         return lambda: signal.signal(signal.SIGTERM, previous)
 
-    # -- serial path -----------------------------------------------------
+    # -- dispatch ------------------------------------------------------
 
-    def _run_serial(self, units, tasks, land, resolve_cached):
-        policy = self.policy
-        queue = collections.deque(tasks)
-        while queue:
-            task = queue.popleft()
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                record, delta = _execute_with_stats(
-                    self.executor, units[task.position],
-                    policy.unit_timeout)
-            except (KeyboardInterrupt, CampaignInterrupted):
-                raise
-            except UnitTimeout as exc:
-                self._bump("faults.timeouts")
-                if policy.fail_fast:
-                    raise
-                self._after_infra_failure(task, "timeout", exc, units,
-                                          land, resolve_cached,
-                                          requeue=queue.appendleft)
-            except Exception as exc:
-                if policy.fail_fast:
-                    raise
-                self._quarantine(units, task.position, "exception", exc,
-                                 task.strikes, land)
-            else:
-                self._absorb(delta, from_worker=False)
-                land(task.position, record)
-
-    # -- parallel path ---------------------------------------------------
-
-    def _spawn_pool(self, workers):
+    def _spawn_pool(self, width):
+        if self.jobs == 1:
+            return _InlineExecutor()
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init)
-
-    @staticmethod
-    def _kill_pool(pool):
-        """Reclaim a pool whose worker is wedged: SIGKILL every worker
-        process (the executor then reports BrokenProcessPool for all
-        in-flight futures, which the dispatch loop recovers from)."""
-        # _processes is None once shutdown() has run, not just absent.
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-
-    @classmethod
-    def _retire_pool(cls, pool, kill):
-        """Shut a pool down and join its threads.
-
-        ``shutdown(wait=False)`` would drop the executor's handle on
-        its manager thread, leaving that thread and the call queue's
-        feeder running beside the next pool's fork.  ``kill`` SIGKILLs
-        the workers first (a broken, reclaimed or interrupted pool),
-        so the join never waits on a wedged unit; ``shutdown`` drops
-        the process map, so the kill must come before it.
-        """
-        if kill:
-            cls._kill_pool(pool)
-        pool.shutdown(wait=True)
+            max_workers=width, initializer=_pool_worker_init)
 
     def _deadline(self):
         """Scheduler-side reclaim deadline for one dispatch, or None
@@ -417,19 +434,20 @@ class CampaignRunner:
             return None
         return time.monotonic() + timeout * _DEADLINE_SLACK + _DEADLINE_GRACE
 
-    def _run_pool(self, units, tasks, land, resolve_cached):
+    def _dispatch(self, units, tasks, land, resolve_cached):
+        """Move every task from *pending* to *landed* (see the module
+        docstring for the states)."""
         policy = self.policy
-        queue = collections.deque(tasks)
-        probation = collections.deque()
-        workers = min(self.jobs, max(1, len(tasks)))
-        pool = self._spawn_pool(workers)
-        in_flight = {}    # future -> (task, solo)
-        deadlines = {}    # future -> monotonic reclaim time
-        killed = []       # tasks whose deadline forced a pool kill
-        first_error = None
-        interrupted = False
+        width = min(self.jobs, len(tasks))
+        pending = collections.deque(tasks)
+        waiting = collections.deque()
+        running = {}      # future -> task
+        failure = None    # the first failure, under fail_fast
+        reclaimed = None  # when the scheduler killed the current pool
+        pool = self._spawn_pool(width)
 
         def submit(task, solo):
+            task.solo = solo
             try:
                 future = pool.submit(
                     _execute_with_stats, self.executor,
@@ -440,184 +458,102 @@ class CampaignRunner:
                 # ran, so it joins that crash's suspects unblamed.
                 future = concurrent.futures.Future()
                 future.set_exception(exc)
-                solo = False
-            in_flight[future] = (task, solo)
-            deadline = self._deadline()
-            if deadline is not None:
-                deadlines[future] = deadline
+                task.solo = False
+            task.deadline = self._deadline()
+            running[future] = task
 
-        try:
-            while queue or probation or in_flight:
-                if first_error is not None and not in_flight:
-                    break
-                now = time.monotonic()
-                solo_running = any(solo for _, solo in in_flight.values())
-                if first_error is None and not solo_running:
-                    if probation:
-                        # Probation dispatches run strictly solo, and
-                        # nothing is dispatched beside a solo task
-                        # until it finishes: if the worker dies, blame
-                        # is unambiguous.
-                        if not in_flight:
-                            task = probation[0]
-                            if task.not_before <= now:
-                                probation.popleft()
-                                submit(task, solo=True)
-                            else:
-                                time.sleep(
-                                    min(task.not_before - now, _TICK))
-                                continue
-                    else:
-                        # Window = pool width, so every submitted task
-                        # starts immediately and deadlines measure
-                        # actual execution, not queue time.
-                        while queue and len(in_flight) < workers:
-                            submit(queue.popleft(), solo=False)
-                if not in_flight:
-                    continue
-
-                done_futures, _ = concurrent.futures.wait(
-                    in_flight, timeout=_TICK,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-                broken_exc = None
-                broken_suspects = []
-                for future in done_futures:
-                    task, solo = in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        payload = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue
-                    except UnitTimeout as exc:
-                        self._bump("faults.timeouts")
-                        if policy.fail_fast:
-                            if first_error is None:
-                                first_error = exc
-                            continue
-                        if first_error is None:
-                            self._after_infra_failure(
-                                task, "timeout", exc, units, land,
-                                resolve_cached,
-                                requeue=probation.append)
-                        continue
-                    except _POOL_BROKEN as exc:
-                        broken_exc = exc
-                        broken_suspects.append((task, solo))
-                        continue
-                    except Exception as exc:
-                        if policy.fail_fast:
-                            # First failure wins; drop the queued units
-                            # but keep draining so already-running
-                            # siblings still land in the cache instead
-                            # of being recomputed on retry.
-                            if first_error is None:
-                                first_error = exc
-                            continue
-                        if first_error is None:
-                            self._quarantine(units, task.position,
-                                             "exception", exc,
-                                             task.strikes, land)
-                        continue
-                    if task in killed:
-                        # Raced its own reclaim and won: the result is
-                        # valid, and the kill must not be blamed on it.
-                        killed.remove(task)
-                    record, delta = payload
-                    self._absorb(delta, from_worker=True)
-                    land(task.position, record)
-
-                if broken_exc is not None:
-                    # The pool is gone: every in-flight future fails.
-                    # Fold the stragglers in as suspects too, respawn,
-                    # and re-check each suspect against the cache (a
-                    # sibling shard may have landed its record).
-                    for future, (task, solo) in list(in_flight.items()):
-                        broken_suspects.append((task, solo))
-                    in_flight.clear()
-                    deadlines.clear()
-                    if policy.fail_fast and first_error is None:
-                        first_error = broken_exc
-                    self._retire_pool(pool, kill=True)
-                    if first_error is None:
-                        self._bump("faults.pool_respawns")
-                        pool = self._spawn_pool(workers)
-                        deadline_kill = bool(killed)
-                        for task, solo in broken_suspects:
-                            if deadline_kill and task not in killed:
-                                # Collateral of a reclaim we initiated:
-                                # the cause is known, no strike.
-                                if self._still_pending(task,
-                                                       resolve_cached):
-                                    self._bump("faults.retries")
-                                    queue.appendleft(task)
-                                continue
-                            kind = ("timeout" if task in killed
-                                    else "worker-death")
-                            if task in killed:
-                                self._bump("faults.timeouts")
-                            else:
-                                self._bump("faults.worker_deaths")
-                            self._after_infra_failure(
-                                task, kind, broken_exc, units, land,
-                                resolve_cached,
-                                requeue=probation.append,
-                                precise=(solo or task in killed))
-                        killed.clear()
-
-                # Scheduler-side deadline: a worker that cannot even
-                # deliver its UnitTimeout (alarm masked, interpreter
-                # wedged in C) is reclaimed by killing the pool.
-                if first_error is None and deadlines:
-                    now = time.monotonic()
-                    overdue = [future for future, when in deadlines.items()
-                               if now > when]
-                    if overdue:
-                        for future in overdue:
-                            killed.append(in_flight[future][0])
-                            deadlines.pop(future, None)
-                        self._kill_pool(pool)
-
-            if first_error is not None:
-                raise first_error
-        except (KeyboardInterrupt, CampaignInterrupted):
-            interrupted = True
-            raise
-        finally:
-            self._retire_pool(pool, kill=interrupted)
-
-    # -- failure handling (shared by both paths) -------------------------
-
-    def _still_pending(self, task, resolve_cached):
-        """Whether a task still needs to run: its record may have
-        landed in the cache before a crash (a sibling shard sharing
-        the cache directory), in which case it resolves as a hit."""
-        return resolve_cached(task.position) is None
-
-    def _after_infra_failure(self, task, kind, exc, units, land,
-                             resolve_cached, requeue, precise=True):
-        """Strike a task for an infrastructure failure and decide:
-        retry with deterministic backoff, or quarantine.
-
-        ``precise`` says blame is unambiguous (a timeout reported by
-        the task's own future, or a crash while running solo).  Only
-        precise failures are strikes, so a unit is never poisoned for
-        a sibling's crash; an imprecise suspect just re-runs solo,
-        where its next failure is precise.
-        """
-        policy = self.policy
-        if precise:
-            task.strikes += 1
-            if task.strikes >= policy.max_strikes:
+        def leave_running(task, exc, future=None):
+            """The one transition out of *running*."""
+            nonlocal failure
+            if exc is None:
+                record, delta = future.result()
+                self._absorb(delta, from_worker=self.jobs > 1)
+                land(task.position, record)
+                return
+            kind, strike = _blame(exc, task, reclaimed)
+            if kind == "timeout":
+                self._bump("faults.timeouts")
+            elif kind == "worker-death":
+                self._bump("faults.worker_deaths")
+            if policy.fail_fast and kind is not None and failure is None:
+                failure = exc
+            if failure is not None:
+                return
+            if strike:
+                task.strikes += 1
+            if kind == "exception" or task.strikes >= faults.MAX_STRIKES:
                 self._quarantine(units, task.position, kind, exc,
                                  task.strikes, land)
                 return
-        if not self._still_pending(task, resolve_cached):
-            return
-        task.not_before = time.monotonic() + \
-            faults.backoff_seconds(policy, task.strikes)
-        self._bump("faults.retries")
-        requeue(task)
+            if resolve_cached(task.position) is not None:
+                return
+            self._bump("faults.retries")
+            if kind is None:
+                pending.appendleft(task)
+            else:
+                task.not_before = time.monotonic() + \
+                    faults.backoff_seconds(policy, task.strikes)
+                waiting.append(task)
+
+        completed = False
+        try:
+            while True:
+                # Dispatch.  Nothing runs beside a solo task; a waiting
+                # task runs solo, ahead of every pending one; pending
+                # tasks fill the pool and no more, so a deadline times
+                # execution, not queueing.
+                if failure is None and not any(
+                        task.solo for task in running.values()):
+                    if not waiting:
+                        while pending and len(running) < width:
+                            submit(pending.popleft(), solo=False)
+                    elif not running and \
+                            waiting[0].not_before <= time.monotonic():
+                        submit(waiting.popleft(), solo=True)
+                if not running:
+                    if failure is not None or not waiting:
+                        break
+                    time.sleep(max(0.0, waiting[0].not_before
+                                   - time.monotonic()))
+                    continue
+
+                done, _ = concurrent.futures.wait(
+                    running, timeout=_TICK,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                broken = None
+                for future in done:
+                    exc = future.exception()
+                    if isinstance(exc, _POOL_BROKEN):
+                        broken = exc
+                    else:
+                        leave_running(running.pop(future), exc, future)
+
+                if broken is not None:
+                    # Every running task is a suspect of the breakage.
+                    suspects = list(running.values())
+                    running.clear()
+                    _retire_pool(pool, kill=True)
+                    for task in suspects:
+                        leave_running(task, broken)
+                    if failure is None:
+                        self._bump("faults.pool_respawns")
+                        pool = self._spawn_pool(width)
+                        reclaimed = None
+                    continue
+                # A worker that cannot even deliver its UnitTimeout
+                # (alarm masked, interpreter wedged in C) is reclaimed
+                # by killing its pool.
+                now = time.monotonic()
+                if reclaimed is None and any(
+                        task.deadline is not None and now > task.deadline
+                        for task in running.values()):
+                    reclaimed = now
+                    _kill_pool(pool)
+            completed = True
+        finally:
+            _retire_pool(pool, kill=not completed)
+        if failure is not None:
+            raise failure
 
     def _quarantine(self, units, position, kind, exc, strikes, land):
         """Land a structured poisoned record for one unit and let the
@@ -655,7 +591,7 @@ class CampaignRunner:
             return
         policy = self.policy
         last_error = None
-        for attempt in range(max(1, policy.cache_write_retries)):
+        for attempt in range(faults.CACHE_WRITE_RETRIES):
             try:
                 self.cache.put(unit.cache_key(), record)
                 return
@@ -691,17 +627,17 @@ def _restamp(record, instance):
 
 
 def run_units(units, jobs=1, cache_dir=None, progress=None,
-              show_progress=False, reporter=None, cache=None,
+              show_progress=False, cache=None,
               executor=None, telemetry=False,
               forensics_capture=False, unit_timeout=None,
-              fail_fast=False, policy=None, poisoned_factory=None):
+              fail_fast=False, poisoned_factory=None):
     """Convenience front door used by the experiment drivers.
 
     ``cache_dir`` of ``None`` disables memoization; an explicit
     ``cache`` object (any ``get``/``put`` store, e.g. a
     :class:`ResultCache` with a custom codec) wins over ``cache_dir``.
-    ``show_progress`` attaches a stderr :class:`ProgressReporter`
-    (explicit ``reporter`` wins); ``executor`` overrides the campaign
+    ``show_progress`` attaches a stderr :class:`ProgressReporter`;
+    ``executor`` overrides the campaign
     unit-execution primitive.  ``telemetry`` writes span
     and metrics shards under ``<cache-dir>/telemetry/`` (requires
     ``cache_dir``; records are unaffected — timing is sidecar-only).
@@ -711,20 +647,19 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     exactly like telemetry).
 
     ``unit_timeout`` / ``fail_fast`` override those fields of the
-    process-default :class:`~repro.runner.faults.FaultPolicy`; an
-    explicit ``policy`` wins over both.  ``poisoned_factory`` builds
-    quarantine records for custom unit families.
+    process-default :class:`~repro.runner.faults.FaultPolicy`.
+    ``poisoned_factory`` builds quarantine records for custom unit
+    families.
     """
     units = list(units)
-    if policy is None:
-        policy = faults.get_default_policy()
-        if unit_timeout is not None or fail_fast:
-            policy = dataclasses.replace(
-                policy,
-                unit_timeout=(unit_timeout if unit_timeout is not None
-                              else policy.unit_timeout),
-                fail_fast=fail_fast or policy.fail_fast,
-            )
+    policy = faults.get_default_policy()
+    if unit_timeout is not None or fail_fast:
+        policy = dataclasses.replace(
+            policy,
+            unit_timeout=(unit_timeout if unit_timeout is not None
+                          else policy.unit_timeout),
+            fail_fast=fail_fast or policy.fail_fast,
+        )
 
     telemetry_dir = (
         os.path.join(os.fspath(cache_dir), "telemetry")
@@ -736,8 +671,8 @@ def run_units(units, jobs=1, cache_dir=None, progress=None,
     )
     if cache is None and cache_dir:
         cache = ResultCache(cache_dir)
-    if reporter is None and show_progress and units:
-        reporter = ProgressReporter(len(units))
+    reporter = ProgressReporter(len(units)) \
+        if show_progress and units else None
     runner = CampaignRunner(jobs=jobs, cache=cache, reporter=reporter,
                             executor=executor, policy=policy,
                             poisoned_factory=poisoned_factory)

@@ -3,9 +3,10 @@
 Covers the fault-injection harness itself (plan scoping, budget
 claims, site/identity matching), corrupt-cache quarantine, the
 per-unit wall-clock alarm, retry/backoff and poison-unit quarantine
-on both the serial and pool paths, scheduler-side deadline reclaim of
-wedged workers, shared-cache resume after a pool crash, failed cache
-writes, the scheduler's one-terminal-state-per-unit property, graceful
+at jobs 1 and on a pool, scheduler-side deadline reclaim of wedged
+workers, solo re-runs, pool threads that must not outlive their pool,
+shared-cache resume after a pool crash, failed cache writes, the
+scheduler's one-terminal-state-per-unit property, graceful
 interrupts, and the CLI exit codes that surface all of it.
 
 Pool tests are marked ``campaign`` (they spawn worker processes) like
@@ -385,10 +386,11 @@ class TestPoolFaults:
         assert sorted(r["n"] for r in records
                       if not r.get("poisoned")) == [0, 2, 3]
 
-    def test_fault_budget_survives_pool_respawn(self):
+    def test_fault_budget_survives_pool_respawn(self, monkeypatch):
         # times=2 on a crash: both budget claims must be honoured
         # across the respawned pool (claim files, not process memory),
         # then the third attempt succeeds.
+        monkeypatch.setattr(faults, "MAX_STRIKES", 4)
         plan = faultinject.make_plan([
             {"site": "unit", "match": "toy-0", "kind": "crash",
              "times": 2},
@@ -396,7 +398,7 @@ class TestPoolFaults:
         with faultinject.plan_scope(plan):
             runner = CampaignRunner(jobs=2, executor=run_toy,
                                     poisoned_factory=toy_poisoned,
-                                    policy=quick_policy(max_strikes=4))
+                                    policy=quick_policy())
             records = runner.run(toys(3))
         assert not any(r.get("poisoned") for r in records)
         assert sorted(r["n"] for r in records) == [0, 1, 2]
@@ -569,29 +571,45 @@ def test_failed_cache_writes_are_counted_and_reported(tmp_path):
 
 # -- termination property ----------------------------------------------------
 
-#: Fault kinds the termination property draws from.  None of them
-#: hangs, so every plan runs in well under a second.
-_POOL_KINDS = ("crash", "raise", "tear")
-_SERIAL_KINDS = ("raise", "tear")  # a crash would kill this process
+#: Fault kinds the termination property draws from.  A hang runs past
+#: the unit timeout until the worker-side alarm reclaims it; a wedge
+#: masks that alarm, so only the scheduler's deadline kill can.
+_POOL_KINDS = ("crash", "raise", "tear", "hang", "wedge")
+_SERIAL_KINDS = ("raise", "tear", "hang")  # a crash or wedge would
+                                           # stop this process
+_HANGS = ("hang", "wedge")
+#: Each hang costs a timeout per dispatch, so only two seeds draw
+#: them.  Between them they put a hang and a wedge of either budget
+#: beside crashes on the pool leg, and a hang of either budget on the
+#: serial leg; the other seeds' plans run in well under a second.
+_HANG_SEEDS = (5, 6)
+
+
+def _fault(key, kind, times):
+    if kind == "tear":
+        return {"site": "cache-write", "match": key, "kind": kind,
+                "times": times}
+    fault = {"site": "unit", "match": key, "kind": kind, "times": times}
+    if kind in _HANGS:
+        fault.update(kind="hang", seconds=30,
+                     block_alarm=kind == "wedge")
+    return fault
 
 
 def _draw_plan(rng, units, kinds):
     """A seeded fault plan over ``units``: each unit gets no fault or
-    one of ``kinds``.  Crashes fire once or on every dispatch; a raise
-    is deterministic, so it fires on every dispatch; a tear fires
-    once."""
+    one of ``kinds``.  Crashes and hangs fire once or on every
+    dispatch; a raise is deterministic, so it fires on every dispatch;
+    a tear fires once."""
     entries = {}
     for unit in units:
         kind = rng.choice((None,) + kinds)
         if kind is not None:
-            times = {"crash": rng.choice((1, 9)), "raise": 9,
-                     "tear": 1}[kind]
+            budget = rng.choice((1, 9))
+            times = {"raise": 9, "tear": 1}.get(kind, budget)
             entries[unit.cache_key()] = (kind, times)
-    faults_list = [
-        {"site": "cache-write" if kind == "tear" else "unit",
-         "match": key, "kind": kind, "times": times}
-        for key, (kind, times) in sorted(entries.items())
-    ]
+    faults_list = [_fault(key, kind, times)
+                   for key, (kind, times) in sorted(entries.items())]
     return entries, faultinject.make_plan(faults_list)
 
 
@@ -612,31 +630,40 @@ class _CountingCache(ResultCache):
 ])
 @pytest.mark.parametrize("plan_seed", range(8))
 def test_every_unit_ends_in_exactly_one_terminal_state(
-        tmp_path, jobs, kinds, plan_seed):
-    """Under any mix of crashes, raises and torn writes, every unit
-    lands exactly one record: poisoned with the matching kind when
-    its fault is a raise or a crash that outlasts ``max_strikes``,
-    otherwise the fault-free ``jobs=1`` record."""
+        tmp_path, monkeypatch, jobs, kinds, plan_seed):
+    """Under any mix of crashes, raises, torn writes, hangs and wedges,
+    every unit lands exactly one record: poisoned with the matching
+    kind when its fault is a raise, or a crash or hang that outlasts
+    ``faults.MAX_STRIKES``, otherwise the fault-free ``jobs=1``
+    record."""
     import random
 
+    from repro.runner import scheduler
+
+    monkeypatch.setattr(scheduler, "_DEADLINE_GRACE", 0.2)
+    if plan_seed not in _HANG_SEEDS:
+        kinds = tuple(kind for kind in kinds if kind not in _HANGS)
     units = toys(6)
     reference = CampaignRunner(jobs=1, executor=run_toy).run(units)
     entries, plan = _draw_plan(random.Random(plan_seed), units, kinds)
-    policy = quick_policy()
     cache = _CountingCache(tmp_path)
     with faultinject.plan_scope(plan):
         records = CampaignRunner(
             jobs=jobs, cache=cache, executor=run_toy,
-            poisoned_factory=toy_poisoned, policy=policy,
+            poisoned_factory=toy_poisoned,
+            policy=quick_policy(unit_timeout=0.3),
         ).run(units)
 
     assert cache.landed == {unit.cache_key(): 1 for unit in units}
     for unit, record, expected in zip(units, records, reference):
         kind, times = entries.get(unit.cache_key(), (None, 0))
+        outlasts = times >= faults.MAX_STRIKES
         if kind == "raise":
             assert record["failure"]["kind"] == "exception"
-        elif kind == "crash" and times >= policy.max_strikes:
+        elif kind == "crash" and outlasts:
             assert record["failure"]["kind"] == "worker-death"
+        elif kind in _HANGS and outlasts:
+            assert record["failure"]["kind"] == "timeout"
         else:
             assert record == expected, (unit.unit_id, kind, times)
 
