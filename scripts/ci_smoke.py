@@ -146,14 +146,22 @@ def main():
         from repro.sim.backend import get_default_backend
 
         args.backend = get_default_backend()
+    # Every directory the gates make for themselves lives under one
+    # scratch directory, removed on exit; --cache-dir, --telemetry-out
+    # and --forensics-out stay where the caller put them.
+    with tempfile.TemporaryDirectory(prefix="ci-smoke-") as scratch:
+        return smoke(args, scratch)
+
+
+def smoke(args, scratch):
     dataset_cache_dir = args.cache_dir or tempfile.mkdtemp(
-        prefix="ci-smoke-data-"
+        prefix="data-", dir=scratch
     )
     # The unit-result cache must start empty: a preceding
     # run_experiments step sharing --cache-dir would otherwise have
     # pre-cached every unit, turning the cold/warm comparison into two
     # cache reads that can't catch a parallel-vs-serial divergence.
-    unit_cache_dir = tempfile.mkdtemp(prefix="ci-smoke-units-")
+    unit_cache_dir = tempfile.mkdtemp(prefix="units-", dir=scratch)
 
     instances = generate_dataset(
         seed=0, per_operator=1, target=None, modules=MODULES,
@@ -169,7 +177,7 @@ def main():
     # must light up (warm/parity passes legitimately skip phases).
     telemetry_dir = (os.path.join(args.telemetry_out, "shards")
                      if args.telemetry_out
-                     else tempfile.mkdtemp(prefix="ci-smoke-tele-"))
+                     else tempfile.mkdtemp(prefix="tele-", dir=scratch))
     cold_cache = ResultCache(unit_cache_dir)
     with sink.telemetry_scope(telemetry_dir):
         with trace.span("campaign", cat="scheduler", units=len(units),
@@ -253,7 +261,7 @@ def main():
     other = "compiled" if args.backend != "compiled" else "interp"
     other_units = expand_grid(instances, METHODS, attempts=ATTEMPTS,
                               backend=other)
-    other_cache = ResultCache(tempfile.mkdtemp(prefix="ci-smoke-alt-"))
+    other_cache = ResultCache(tempfile.mkdtemp(prefix="alt-", dir=scratch))
     other_records = CampaignRunner(
         jobs=args.jobs, cache=other_cache
     ).run(other_units)
@@ -280,12 +288,12 @@ def main():
           f"identical HR/FR and bit-identical coverage over "
           f"{len(units)} units")
 
-    code = forensics_gate(args)
+    code = forensics_gate(args, scratch)
     if code:
         return code
 
     if args.chaos:
-        code = chaos_gate(args)
+        code = chaos_gate(args, scratch)
         if code:
             return code
 
@@ -294,7 +302,7 @@ def main():
     return 0
 
 
-def forensics_gate(args):
+def forensics_gate(args, scratch):
     """Forced-failure capture gate.
 
     Zeroing the repair-iteration knobs turns every *detected* mutant
@@ -308,7 +316,7 @@ def forensics_gate(args):
     from repro.runner.scheduler import run_units
 
     cache_dir = args.forensics_out or tempfile.mkdtemp(
-        prefix="ci-smoke-forensics-")
+        prefix="forensics-", dir=scratch)
     # counter_12 at per_operator=2 is enough: that slice contains
     # mutants the HR suite actually detects (the per_operator=1 smoke
     # slice happens to be all-undetected), they simulate (so waveform
@@ -355,7 +363,7 @@ def forensics_gate(args):
     return 0
 
 
-def chaos_gate(args):
+def chaos_gate(args, scratch):
     """Fault-injection gate.
 
     The mini campaign runs under a deterministic fault plan: one unit
@@ -382,7 +390,7 @@ def chaos_gate(args):
     # chaos survivor must match bit-for-bit.
     ref = CampaignRunner(
         jobs=1,
-        cache=ResultCache(tempfile.mkdtemp(prefix="ci-smoke-cref-")),
+        cache=ResultCache(tempfile.mkdtemp(prefix="cref-", dir=scratch)),
     ).run(units)
 
     crash_once, hang_once, torn, poison = units[:4]
@@ -399,7 +407,7 @@ def chaos_gate(args):
         {"site": "unit", "match": poison.cache_key(),
          "kind": "crash", "times": 99},
     ])
-    chaos_dir = tempfile.mkdtemp(prefix="ci-smoke-chaos-")
+    chaos_dir = tempfile.mkdtemp(prefix="chaos-", dir=scratch)
     with faultinject.plan_scope(plan):
         runner = CampaignRunner(
             jobs=max(2, args.jobs), cache=ResultCache(chaos_dir),
@@ -440,7 +448,8 @@ def chaos_gate(args):
     with faultinject.plan_scope(hang_plan):
         hang_runner = CampaignRunner(
             jobs=max(2, args.jobs),
-            cache=ResultCache(tempfile.mkdtemp(prefix="ci-smoke-hang-")),
+            cache=ResultCache(tempfile.mkdtemp(prefix="hang-",
+                                               dir=scratch)),
             policy=FaultPolicy(unit_timeout=8.0, backoff=0.05),
         )
         hang_records = hang_runner.run(units)
