@@ -30,7 +30,7 @@ from typing import Optional
 #: Failure kinds a poisoned record can carry (``failure_kind``).
 FAILURE_KINDS = ("worker-death", "timeout", "exception")
 
-#: Strikes a unit survives before quarantine: a strike is a failure
+#: Strikes after which a unit is quarantined.  A strike is a failure
 #: blamed on the unit alone (its own timeout, or a worker death while
 #: it ran solo), so 2 means "a unit that kills its worker twice is
 #: poisoned".

@@ -575,8 +575,8 @@ def test_failed_cache_writes_are_counted_and_reported(tmp_path):
 #: the unit timeout until the worker-side alarm reclaims it; a wedge
 #: masks that alarm, so only the scheduler's deadline kill can.
 _POOL_KINDS = ("crash", "raise", "tear", "hang", "wedge")
-_SERIAL_KINDS = ("raise", "tear", "hang")  # a crash or wedge would
-                                           # stop this process
+# At jobs 1 a crash would kill this process and a wedge would stall it.
+_SERIAL_KINDS = ("raise", "tear", "hang")
 _HANGS = ("hang", "wedge")
 #: Each hang costs a timeout per dispatch, so only two seeds draw
 #: them.  Between them they put a hang and a wedge of either budget
