@@ -253,7 +253,7 @@ class CampaignRunner:
     ``cache_key()`` method when a cache is attached.
 
     ``policy`` (a :class:`repro.runner.faults.FaultPolicy`) governs
-    timeouts, retry/quarantine and fail-fast; ``poisoned_factory``
+    timeouts, retry backoff and fail-fast; ``poisoned_factory``
     builds the structured record a quarantined unit lands as
     (``factory(unit, failure_dict) -> record``; the default handles
     campaign work units and falls back to a plain verdict dict for
