@@ -11,7 +11,11 @@ pool of work units:
   (in process at 1, a ``ProcessPoolExecutor`` above), bit-identical
   either way; each unit is pending, waiting, running or landed, and
   a failure is a strike only when the unit ran alone or its own
-  alarm or deadline fired;
+  alarm or deadline fired.  A campaign that ends without a failure
+  under ``fail_fast``, a broken or reclaimed pool, or an interrupt
+  parks its pool; the next campaign of the process reuses it when
+  ``jobs`` and the environment are unchanged, and otherwise retires
+  it before forking a new one (and at interpreter exit);
 - :mod:`repro.runner.cache` — content-hash-keyed JSON store so
   interrupted or repeated campaigns resume instantly;
 - :mod:`repro.runner.report` — throttled progress/ETA lines on stderr.

@@ -15,6 +15,19 @@ unit is seeded from its own fields and shares no mutable state with
 its siblings, so results are bit-identical at any ``jobs`` — the only
 observable difference is wall-clock time.
 
+A pool outlives its campaign when it can, so the per-process memos
+of its workers stay warm for the next one.  A ``jobs`` > 1 campaign
+that ends with no ``fail_fast`` failure, pool breakage, deadline
+reclaim or interrupt *parks* its pool.  The next campaign in the
+process takes the parked pool when its ``jobs`` and ``os.environ``
+equal those the workers forked with: the environment is what carries
+``REPRO_TELEMETRY``, ``REPRO_FORENSICS`` and ``REPRO_FAULT_PLAN`` to
+them.  Otherwise the parked pool is retired, its threads joined,
+before a new pool forks.  A parked pool is also retired at
+interpreter exit.  Reuse cannot change a record, because every unit
+is a pure function of its fields; a ``jobs`` 1 campaign leaves a
+parked pool where it is.
+
 Fault tolerance (see :mod:`repro.runner.faults`): campaigns are
 run-to-completion by default.  Every task not answered by the cache
 is in exactly one state:
@@ -53,6 +66,7 @@ fault-tolerance movement lands under ``faults.*``
 none of this touches ``cache_key()`` or record bytes.
 """
 
+import atexit
 import collections
 import concurrent.futures
 import contextlib
@@ -225,6 +239,23 @@ def _retire_pool(pool, kill):
     if kill:
         _kill_pool(pool)
     pool.shutdown(wait=True)
+
+
+#: ``(key, pool)``: the pool the last clean ``jobs`` > 1 campaign
+#: parked, and the ``(jobs, environment)`` its workers forked with; or
+#: ``None``.
+_parked = None
+
+
+def _retire_parked():
+    """Retire the parked pool, if there is one."""
+    global _parked
+    parked, _parked = _parked, None
+    if parked is not None:
+        _retire_pool(parked[1], kill=False)
+
+
+atexit.register(_retire_parked)
 
 
 def _raise_on_sigterm(_signum, _frame):
@@ -420,11 +451,20 @@ class CampaignRunner:
 
     # -- dispatch ------------------------------------------------------
 
-    def _spawn_pool(self, width):
+    def _spawn_pool(self, key):
+        """The executor for one dispatch: in process at ``jobs`` 1;
+        above, the parked pool if its workers forked under ``key``,
+        else a new pool, which forks only after the parked one is
+        retired."""
+        global _parked
         if self.jobs == 1:
             return _InlineExecutor()
+        if _parked is not None and _parked[0] == key:
+            pool, _parked = _parked[1], None
+            return pool
+        _retire_parked()
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=width, initializer=_pool_worker_init)
+            max_workers=self.jobs, initializer=_pool_worker_init)
 
     def _deadline(self):
         """Scheduler-side reclaim deadline for one dispatch, or None
@@ -437,14 +477,17 @@ class CampaignRunner:
     def _dispatch(self, units, tasks, land, resolve_cached):
         """Move every task from *pending* to *landed* (see the module
         docstring for the states)."""
+        global _parked
         policy = self.policy
-        width = min(self.jobs, len(tasks))
         pending = collections.deque(tasks)
         waiting = collections.deque()
         running = {}      # future -> task
         failure = None    # the first failure, under fail_fast
         reclaimed = None  # when the scheduler killed the current pool
-        pool = self._spawn_pool(width)
+        clean = True      # no pool broke or was reclaimed
+        # What a pool's workers inherit when they fork.
+        key = (self.jobs, dict(os.environ))
+        pool = self._spawn_pool(key)
 
         def submit(task, solo):
             task.solo = solo
@@ -473,8 +516,6 @@ class CampaignRunner:
             kind, strike = _blame(exc, task, reclaimed)
             if kind == "timeout":
                 self._bump("faults.timeouts")
-            elif kind == "worker-death":
-                self._bump("faults.worker_deaths")
             if policy.fail_fast and kind is not None and failure is None:
                 failure = exc
             if failure is not None:
@@ -505,7 +546,7 @@ class CampaignRunner:
                 if failure is None and not any(
                         task.solo for task in running.values()):
                     if not waiting:
-                        while pending and len(running) < width:
+                        while pending and len(running) < self.jobs:
                             submit(pending.popleft(), solo=False)
                     elif not running and \
                             waiting[0].not_before <= time.monotonic():
@@ -529,7 +570,12 @@ class CampaignRunner:
                         leave_running(running.pop(future), exc, future)
 
                 if broken is not None:
-                    # Every running task is a suspect of the breakage.
+                    # Every running task is a suspect of the breakage,
+                    # which is one worker death unless the scheduler
+                    # killed the pool itself.
+                    clean = False
+                    if reclaimed is None:
+                        self._bump("faults.worker_deaths")
                     suspects = list(running.values())
                     running.clear()
                     _retire_pool(pool, kill=True)
@@ -537,7 +583,7 @@ class CampaignRunner:
                         leave_running(task, broken)
                     if failure is None:
                         self._bump("faults.pool_respawns")
-                        pool = self._spawn_pool(width)
+                        pool = self._spawn_pool(key)
                         reclaimed = None
                     continue
                 # A worker that cannot even deliver its UnitTimeout
@@ -548,10 +594,14 @@ class CampaignRunner:
                         task.deadline is not None and now > task.deadline
                         for task in running.values()):
                     reclaimed = now
+                    clean = False
                     _kill_pool(pool)
             completed = True
         finally:
-            _retire_pool(pool, kill=not completed)
+            if completed and clean and failure is None and self.jobs > 1:
+                _parked = (key, pool)
+            else:
+                _retire_pool(pool, kill=not completed)
         if failure is not None:
             raise failure
 

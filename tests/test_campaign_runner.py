@@ -30,6 +30,7 @@ from repro.runner import (
     run_units,
     shard_units,
 )
+from repro.runner import scheduler
 from repro.runner.report import ProgressReporter
 
 MODULE = "counter_12"
@@ -210,6 +211,18 @@ class TestParallel:
         warm = CampaignRunner(jobs=1, cache=cache).run(units)
         assert cache.hits == len(units)
         assert warm == parallel
+
+    def test_clean_campaigns_reuse_one_warm_pool(self, units):
+        # The second campaign runs on the workers of the first, whose
+        # per-process memos already hold every unit's runs.
+        serial = run_units(units, jobs=1)
+        first = run_units(units, jobs=2)
+        pool = scheduler._parked[1]
+        workers = sorted(pool._processes)
+        second = run_units(units, jobs=2)
+        assert scheduler._parked[1] is pool
+        assert sorted(pool._processes) == workers
+        assert first == second == serial
 
 
 class TestFailurePaths:

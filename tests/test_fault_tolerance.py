@@ -4,9 +4,10 @@ Covers the fault-injection harness itself (plan scoping, budget
 claims, site/identity matching), corrupt-cache quarantine, the
 per-unit wall-clock alarm, retry/backoff and poison-unit quarantine
 at jobs 1 and on a pool, scheduler-side deadline reclaim of wedged
-workers, solo re-runs, pool threads that must not outlive their pool,
-shared-cache resume after a pool crash, failed cache writes, the
-scheduler's one-terminal-state-per-unit property, graceful
+workers, solo re-runs, one worker death per crash, pool threads that
+must not outlive their pool, when a pool is parked, reused and
+retired, shared-cache resume after a pool crash, failed cache writes,
+the scheduler's one-terminal-state-per-unit property, graceful
 interrupts, and the CLI exit codes that surface all of it.
 
 Pool tests are marked ``campaign`` (they spawn worker processes) like
@@ -15,14 +16,19 @@ the rest of the parallel-runner suite.
 
 import collections
 import concurrent.futures
+import contextlib
 import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.obs.metrics import GLOBAL as global_metrics
 from repro.runner import (
     CampaignInterrupted,
@@ -31,7 +37,7 @@ from repro.runner import (
     ResultCache,
     UnitTimeout,
 )
-from repro.runner import faultinject, faults
+from repro.runner import faultinject, faults, scheduler
 from repro.runner.faultinject import InjectedFault
 from repro.runner.report import ProgressReporter
 
@@ -51,7 +57,6 @@ class ToyUnit:
 
 
 def run_toy(unit):
-    faultinject.check_unit(unit.unit_id, key=unit.cache_key())
     return {"n": unit.n, "ok": True}
 
 
@@ -328,8 +333,8 @@ class TestPoolFaults:
                                     policy=quick_policy())
             records = runner.run(toys(6))
         assert records == reference
-        assert runner.fault_stats["pool_respawns"] >= 1
-        assert runner.fault_stats["worker_deaths"] >= 1
+        assert runner.fault_stats["pool_respawns"] == 1
+        assert runner.fault_stats["worker_deaths"] == 1
         assert runner.fault_stats["quarantined"] == 0
 
     def test_repeat_crasher_quarantined_siblings_survive(self):
@@ -367,9 +372,10 @@ class TestPoolFaults:
         assert runner.fault_stats["pool_respawns"] == 0
         assert runner.fault_stats["timeouts"] == 2
 
-    def test_scheduler_deadline_reclaims_wedged_worker(self):
+    def test_scheduler_deadline_reclaims_wedged_worker(self, monkeypatch):
         # block_alarm masks SIGALRM in the worker, so only the
         # parent-side deadline (pool kill + respawn) can reclaim it.
+        monkeypatch.setattr(scheduler, "_DEADLINE_GRACE", 0.2)
         plan = faultinject.make_plan([
             {"site": "unit", "match": "toy-1", "kind": "hang",
              "seconds": 120, "block_alarm": True, "times": 99},
@@ -382,7 +388,10 @@ class TestPoolFaults:
         poisoned = [r for r in records if r.get("poisoned")]
         assert [r["n"] for r in poisoned] == [1]
         assert poisoned[0]["failure"]["kind"] == "timeout"
-        assert runner.fault_stats["pool_respawns"] >= 1
+        # one reclaim per dispatch of toy-1; a reclaim is no death
+        assert runner.fault_stats["pool_respawns"] == 2
+        assert runner.fault_stats["timeouts"] == 2
+        assert runner.fault_stats["worker_deaths"] == 0
         assert sorted(r["n"] for r in records
                       if not r.get("poisoned")) == [0, 2, 3]
 
@@ -402,7 +411,32 @@ class TestPoolFaults:
             records = runner.run(toys(3))
         assert not any(r.get("poisoned") for r in records)
         assert sorted(r["n"] for r in records) == [0, 1, 2]
-        assert runner.fault_stats["worker_deaths"] >= 2
+        assert runner.fault_stats["worker_deaths"] == 2
+        assert runner.fault_stats["pool_respawns"] == 2
+
+    def test_worker_deaths_count_crashes_not_suspects(self):
+        # Four crashes: toy-1 once beside toy-0, toy-3 beside toy-2 and
+        # then twice solo, after which it is quarantined.  The hangs
+        # keep toy-0 and toy-2 in flight when their sibling crashes,
+        # so those two breakages have two suspects each.
+        plan = faultinject.make_plan([
+            {"site": "unit", "match": "toy-1", "kind": "crash",
+             "times": 1},
+            {"site": "unit", "match": "toy-3", "kind": "crash",
+             "times": 99},
+        ] + [
+            {"site": "unit", "match": f"toy-{n}", "kind": "hang",
+             "seconds": 1.0, "times": 1}
+            for n in (0, 2)
+        ])
+        with faultinject.plan_scope(plan):
+            runner = CampaignRunner(jobs=2, executor=run_toy,
+                                    poisoned_factory=toy_poisoned,
+                                    policy=quick_policy())
+            records = runner.run(toys(6))
+        assert [r["n"] for r in records if r.get("poisoned")] == [3]
+        assert runner.fault_stats["worker_deaths"] == 4
+        assert runner.fault_stats["pool_respawns"] == 4
 
     def test_solo_rerun_runs_alone(self):
         # toy-0 is slow but healthy; each sibling crashes its worker
@@ -432,6 +466,27 @@ def _threads_since(baseline):
             if thread not in baseline]
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Records, at the first submit of every pool the scheduler
+    creates, the threads then alive that the test did not start with.
+    Workers fork at that submit; a thread of an earlier pool alive at
+    that moment could hold a lock the child inherits."""
+    baseline = set(threading.enumerate())
+    leftovers = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            if not getattr(self, "_submitted", False):
+                self._submitted = True
+                leftovers.append(_threads_since(baseline))
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return leftovers
+
+
 @pytest.mark.campaign
 class TestPoolLifecycle:
     def test_fail_fast_leaves_no_pool_thread_alive(self):
@@ -447,23 +502,8 @@ class TestPoolLifecycle:
                                ).run(toys(4))
         assert _threads_since(baseline) == []
 
-    def test_no_pool_forks_beside_an_earlier_pools_threads(
-            self, monkeypatch):
-        # Workers fork at a pool's first submit; a thread of the
-        # retired pool alive at that moment could hold a lock the
-        # child inherits.
+    def test_no_pool_forks_beside_an_earlier_pools_threads(self, forks):
         baseline = set(threading.enumerate())
-        leftovers = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                if not getattr(self, "_submitted", False):
-                    self._submitted = True
-                    leftovers.append(_threads_since(baseline))
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
         plan = faultinject.make_plan([
             {"site": "unit", "match": "toy-1", "kind": "crash",
              "times": 1},
@@ -473,8 +513,80 @@ class TestPoolLifecycle:
                                     policy=quick_policy())
             runner.run(toys(4))
         assert runner.fault_stats["pool_respawns"] == 1
-        assert leftovers == [[], []]
+        assert forks == [[], []]
         assert _threads_since(baseline) == []
+
+    @pytest.mark.parametrize("change", ["jobs", "environment"])
+    def test_changed_key_retires_the_parked_pool_before_forking(
+            self, forks, change):
+        reference = CampaignRunner(jobs=1, executor=run_toy).run(toys(4))
+        assert CampaignRunner(jobs=2, executor=run_toy).run(
+            toys(4)) == reference
+        parked = scheduler._parked[1]
+        if change == "jobs":
+            records = CampaignRunner(jobs=3, executor=run_toy).run(toys(4))
+        else:
+            with faultinject.plan_scope(faultinject.make_plan([])):
+                records = CampaignRunner(jobs=2,
+                                         executor=run_toy).run(toys(4))
+        assert records == reference
+        assert scheduler._parked[1] is not parked
+        # two pools forked, and none of the first pool's threads was
+        # alive when the second forked
+        assert forks == [[], []]
+
+    @pytest.mark.parametrize("ending", ["fail-fast", "breakage", "reclaim",
+                                        "interrupt"])
+    def test_unclean_campaign_parks_nothing(self, monkeypatch, ending):
+        monkeypatch.setattr(scheduler, "_DEADLINE_GRACE", 0.2)
+        faults_list = {
+            "fail-fast": [{"site": "unit", "match": "toy-1",
+                           "kind": "raise", "times": 9}],
+            "breakage": [{"site": "unit", "match": "toy-1",
+                          "kind": "crash", "times": 1}],
+            "reclaim": [{"site": "unit", "match": "toy-1", "kind": "hang",
+                         "seconds": 30, "block_alarm": True, "times": 1}],
+            "interrupt": [],
+        }[ending]
+        policy = quick_policy(fail_fast=ending == "fail-fast",
+                              unit_timeout=0.3 if ending == "reclaim"
+                              else None)
+
+        def progress(done, _total):
+            if ending == "interrupt" and done == 2:
+                raise KeyboardInterrupt
+
+        with faultinject.plan_scope(faultinject.make_plan(faults_list)):
+            with contextlib.suppress(InjectedFault, CampaignInterrupted):
+                CampaignRunner(jobs=2, executor=run_toy, policy=policy,
+                               ).run(toys(4), progress=progress)
+        assert scheduler._parked is None
+        assert multiprocessing.active_children() == []
+
+    def test_process_with_a_parked_pool_exits_with_no_child_left(self):
+        script = (
+            "from repro.runner import CampaignRunner, scheduler\n"
+            "def square(n):\n"
+            "    return n * n\n"
+            "first = CampaignRunner(jobs=2, executor=square).run(range(4))\n"
+            "pool = scheduler._parked[1]\n"
+            "second = CampaignRunner(jobs=2, executor=square).run(range(4))\n"
+            "assert scheduler._parked[1] is pool\n"
+            "assert first == second == [0, 1, 4, 9]\n"
+            "print(*pool._processes)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        workers = [int(pid) for pid in result.stdout.split()]
+        assert len(workers) == 2
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # -- shared-cache landing after a pool crash ---------------------------------
