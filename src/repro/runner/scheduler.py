@@ -318,8 +318,9 @@ class CampaignRunner:
     @property
     def fault_stats(self):
         """Fault-tolerance movement: re-dispatches, quarantines, pool
-        respawns, failed cache writes, and their causes (read-only
-        metrics view)."""
+        respawns, failed cache writes, and their causes, counting one
+        worker death per pool breakage the scheduler did not cause
+        (read-only metrics view)."""
         return {
             "retries": self.metrics.counter("faults.retries"),
             "quarantined": self.metrics.counter("faults.quarantined"),
