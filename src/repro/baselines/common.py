@@ -1,9 +1,7 @@
 """Shared baseline infrastructure: the finite testbench and outcomes."""
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.metrics.timing import TimingModel
 from repro.uvm.sequence import ConcatSequence, RandomSequence, ResetSequence
 from repro.uvm.test import run_uvm_test
 

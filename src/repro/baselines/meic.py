@@ -18,11 +18,9 @@ from repro.lint.linter import Linter
 from repro.llm.prompts import build_repair_prompt, build_syntax_prompt
 from repro.llm.schema import (
     COMPLETE_SCHEMA,
-    REPAIR_SCHEMA,
     SchemaValidationError,
     parse_structured_response,
 )
-from repro.core.patches import apply_pairs
 from repro.metrics.timing import TimingModel
 
 

@@ -12,15 +12,9 @@ can only rank by the given tests, it overfits the finite suite exactly
 like the paper's Fig. 6 shows.  Syntax errors are out of scope entirely.
 """
 
-import re
-
 from repro.baselines.common import BaselineOutcome, SimpleTestbench
 from repro.lint.linter import Linter
-from repro.llm.repair_knowledge import (
-    CandidatePatch,
-    FunctionalRepairEngine,
-    _find_assign_lines,
-)
+from repro.llm.repair_knowledge import FunctionalRepairEngine
 from repro.metrics.timing import TimingModel
 
 _TEMPLATE_SECONDS = 0.01  # one template instantiation

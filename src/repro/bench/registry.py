@@ -4,7 +4,7 @@ Categories follow Table II's grouping (Arithmetic, Control, Memory,
 Miscellaneous); ``type_tag`` is the finer ten-type taxonomy of Fig. 7.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.uvm.driver import DriveProtocol

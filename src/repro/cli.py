@@ -325,7 +325,8 @@ def _cmd_coverage(args):
     import glob as globmod
 
     from repro.cover.db import CoverageDB, CoverageMergeError
-    from repro.cover.holes import format_holes
+    from repro.cover.holes import format_holes, holes_of
+    from repro.cover.model import model_from_counters
 
     paths = []
     for pattern in args.databases:
@@ -342,8 +343,8 @@ def _cmd_coverage(args):
     print(db.report())
     if args.holes:
         for group in sorted(db.functional):
-            model = _model_from_dict(group, db.functional[group])
-            holes = _holes_from_model(model)
+            model = model_from_counters(group, db.functional[group])
+            holes = holes_of(model)
             if not holes:
                 continue
             print(f"holes in {group}:")
@@ -361,21 +362,6 @@ def _cmd_coverage(args):
               f"--fail-under {args.fail_under}", file=sys.stderr)
         return 1
     return 0
-
-
-def _model_from_dict(group, data):
-    """Rebuild a CoverModel skeleton (bins + hits) from DB counters so
-    the hole report can run over a merged database (shared with the
-    forensics bundle writer's coverage-hole section)."""
-    from repro.cover.model import model_from_counters
-
-    return model_from_counters(group, data)
-
-
-def _holes_from_model(model):
-    from repro.cover.holes import holes_of
-
-    return holes_of(model)
 
 
 def _cmd_fuzz(args):

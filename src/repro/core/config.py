@@ -1,7 +1,6 @@
 """UVLLM configuration."""
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass

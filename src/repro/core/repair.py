@@ -1,7 +1,7 @@
 """The repair agent (paper Section III-D, Fig. 4)."""
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.patches import apply_pairs
 from repro.llm.prompts import build_repair_prompt

@@ -29,10 +29,12 @@ a pre-order walk of each process body), so maps from two separate
 elaborations of the same source line up key-for-key.
 """
 
+import copy
+
 from repro.hdl import ast
 from repro.sim.elaborate import Signal
 from repro.sim.engine import SimulationError, _Executor
-from repro.sim.eval import Evaluator, Memory
+from repro.sim.eval import Evaluator
 
 
 #: Per-process cap on memoized replay outcomes (wide input cones can
@@ -178,8 +180,6 @@ class CodeCoverage:
         a stable point their settled values are themselves functions
         of the cone.
         """
-        from repro.hdl import ast as hdl_ast
-
         reads = {}
         for signal in self.design.signals.values():
             for process in signal.comb_listeners:
@@ -204,7 +204,7 @@ class CodeCoverage:
             if memoizable:
                 for stmt in process.body:
                     if any(
-                        isinstance(node, hdl_ast.FunctionCall)
+                        isinstance(node, ast.FunctionCall)
                         and node.name in _IMPURE_CALLS
                         for node in stmt.walk()
                     ):
@@ -342,35 +342,16 @@ class _DeltaRecorder:
             self.hit_branch(*entry)
 
 
-class _ShadowMemory:
-    """Read-through overlay over a real :class:`Memory`."""
-
-    def __init__(self, memory, overlay):
-        self.memory = memory
-        self.overlay = overlay
-        self.width = memory.width
-        self.lo = memory.lo
-        self.hi = memory.hi
-        self.signed = memory.signed
-
-    def read(self, address):
-        word = self.overlay.get((id(self.memory), address))
-        if word is not None:
-            return word
-        return self.memory.read(address)
-
-
 class _ShadowSim:
     """Write sink for replay: all stores land in overlays, never the
-    design.  Mimics the slice of the simulator API the executor's
-    store closures touch."""
-
-    code_coverage = None  # _Executor probes this; replay records itself
+    design.  Implements the simulator's whole-signal write and its
+    three select stores (``_store_bit``, ``_store_slice``,
+    ``_mem_write``), which are all the executor's store closures call.
+    """
 
     def __init__(self):
-        self.shadow = {}        # id(Signal) -> Value
-        self.mem_overlay = {}   # (id(Memory), address) -> Value
-        self._nba = []          # comb bodies are blocking-only anyway
+        self.shadow = {}      # id(Signal) -> Value
+        self.memories = {}    # id(Memory) -> copy of the Memory
 
     def read_signal(self, signal):
         return self.shadow.get(id(signal), signal.value)
@@ -380,15 +361,29 @@ class _ShadowSim:
             value = value.resize(signal.width, signal.signed)
         self.shadow[id(signal)] = value
 
-    def write_memory(self, memory, address, value):
-        if address is None or address < memory.lo or address > memory.hi:
+    def _store_bit(self, signal, index, value):
+        if index is None:
             return
-        if value.width != memory.width:
-            value = value.resize(memory.width)
-        self.mem_overlay[(id(memory), address)] = value
+        self._write_signal(
+            signal, self.read_signal(signal).replace_bits(index, value)
+        )
 
-    def _notify_memory_write(self, memory):
-        pass
+    def _store_slice(self, signal, hi, lo, value):
+        if hi is None or lo is None:
+            return
+        self._write_signal(
+            signal,
+            self.read_signal(signal).replace_bits(
+                min(hi, lo), value.resize(abs(hi - lo) + 1)
+            ),
+        )
+
+    def _mem_write(self, memory, index, value):
+        shadow = self.memories.get(id(memory))
+        if shadow is None:
+            shadow = self.memories[id(memory)] = copy.copy(memory)
+            shadow.words = list(memory.words)
+        shadow.write(index, value)
 
 
 class _ShadowResolver:
@@ -397,6 +392,11 @@ class _ShadowResolver:
     def __init__(self, scope, shadow_sim):
         self.scope = scope
         self.shadow_sim = shadow_sim
+        # Widths, signedness and target resolution are the scope's own.
+        self.width_of = scope.width_of
+        self.signed_of = scope.signed_of
+        self.lookup_target = scope.lookup_target
+        self.declare_implicit = scope.declare_implicit
 
     def read(self, name):
         entry = self.scope.lookup(name)
@@ -408,13 +408,7 @@ class _ShadowResolver:
         memory = self.scope.read_memory(name)
         if memory is None:
             return None
-        return _ShadowMemory(memory, self.shadow_sim.mem_overlay)
-
-    def width_of(self, name):
-        return self.scope.width_of(name)
-
-    def signed_of(self, name):
-        return self.scope.signed_of(name)
+        return self.shadow_sim.memories.get(id(memory), memory)
 
 
 class _ReplayExecutor(_Executor):
@@ -432,58 +426,3 @@ class _ReplayExecutor(_Executor):
         super().__init__(_ShadowSim(), process)
         self.evaluator = Evaluator(_ShadowResolver(self.scope, self.sim))
         self.cov = coverage
-
-    # Bit/word stores read current state directly off the entry in the
-    # base class; replay must read the shadow instead.
-
-    def _resolve_index_store(self, target):
-        index = self.evaluator.const_or_runtime_int(target.index)
-        if isinstance(target.base, ast.Identifier):
-            entry = self._lookup_target(target.base.name)
-            if isinstance(entry, Memory):
-                def store_word(value, m=entry, i=index):
-                    self.sim.write_memory(m, i, value)
-
-                return store_word
-            if isinstance(entry, Signal):
-                def store_bit(value, e=entry, i=index):
-                    if i is None:
-                        return
-                    current = self.sim.read_signal(e)
-                    self.sim._write_signal(
-                        e, current.replace_bits(i, value.resize(1))
-                    )
-
-                return store_bit
-        raise SimulationError("unsupported indexed assignment target")
-
-    def _resolve_part_select_store(self, target):
-        if not isinstance(target.base, ast.Identifier):
-            raise SimulationError("unsupported part-select target")
-        entry = self._lookup_target(target.base.name)
-        if not isinstance(entry, Signal):
-            raise SimulationError("part-select on non-signal target")
-        if target.mode == ":":
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            lsb = self.evaluator.const_or_runtime_int(target.lsb)
-        elif target.mode == "+:":
-            lsb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
-            msb = None if lsb is None else lsb + width - 1
-        else:
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
-            lsb = None if msb is None else msb - width + 1
-
-        def store_slice(value, e=entry, hi=msb, lo=lsb):
-            if hi is None or lo is None:
-                return
-            current = self.sim.read_signal(e)
-            self.sim._write_signal(
-                e,
-                current.replace_bits(
-                    min(hi, lo), value.resize(abs(hi - lo) + 1)
-                ),
-            )
-
-        return store_slice

@@ -14,15 +14,10 @@ discarded — this is the paper's answer to MEIC-style datasets where
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from dataclasses import asdict, dataclass
 
 from repro.bench.registry import all_modules, get_module, make_hr_sequence
-from repro.errgen.mutations import (
-    ALL_OPERATORS,
-    FUNCTIONAL_OPERATORS,
-    SYNTAX_OPERATORS,
-)
+from repro.errgen.mutations import ALL_OPERATORS
 from repro.lint.linter import Linter
 from repro.uvm.test import run_uvm_test
 

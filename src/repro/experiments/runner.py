@@ -24,7 +24,7 @@ the serial loop would.
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
 from repro.baselines.direct import DirectLLM
 from repro.baselines.meic import MEIC

@@ -9,7 +9,7 @@ than MEIC.
 """
 
 from repro.errgen.generator import generate_dataset
-from repro.experiments.runner import run_methods, group_records
+from repro.experiments.runner import run_methods
 
 GROUPS = ("arithmetic", "control", "memory", "misc")
 KINDS = ("syntax", "functional")

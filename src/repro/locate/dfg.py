@@ -9,7 +9,7 @@ re-evaluates against the waveform.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.hdl import ast
 

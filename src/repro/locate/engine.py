@@ -13,7 +13,7 @@ extraction strategy:
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.hdl.parser import parse_source
 from repro.locate.dfg import build_dfg

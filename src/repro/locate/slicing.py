@@ -7,10 +7,9 @@ whose guard conditions were actually satisfied at the mismatch time
 on the executed path that produced the wrong value.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
-from repro.hdl import ast
 from repro.sim.eval import Evaluator
 from repro.sim.values import Value
 

@@ -8,8 +8,7 @@
   that overfits the repair-time suite inflates HR but not FR.
 """
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 
 @dataclass

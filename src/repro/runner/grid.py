@@ -18,8 +18,8 @@ results are safe to reuse across interrupted or repeated campaigns.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 #: Bump when the semantics of unit execution or the record schema
 #: change; old cache entries are then ignored rather than misread.

@@ -25,7 +25,9 @@ interpreter by construction) but with every per-delta cost removed:
 - node-type dispatch happens here, at compile time, not per activation;
 - context widths (IEEE 1364's self-determined-width rules) are folded
   to integer literals wherever they are static — which is everywhere
-  widths depend only on declarations, literals and parameters;
+  widths depend only on declarations, literals and parameters.  They
+  come from the interpreter's own ``Evaluator.self_width`` and
+  ``Evaluator.target_width``, run by :class:`_Sizer`;
 - signals, memories and scopes are rebound by name in the kernel's
   ``bind(design)`` prologue, and literal ``Value``\\ s are
   module-level constants (no per-read scope lookups);
@@ -44,7 +46,7 @@ time, which that demotion guarantees.
 
 from repro.hdl import ast
 from repro.sim.elaborate import Signal
-from repro.sim.engine import _MAX_LOOP_ITERATIONS
+from repro.sim.engine import _MAX_LOOP_ITERATIONS, SimulationError
 from repro.sim.eval import Evaluator, EvalError, Memory
 from repro.sim.values import Value
 
@@ -101,6 +103,17 @@ class _ParamResolver:
         return False
 
 
+class _Sizer(Evaluator):
+    """The interpreter's width rules (:meth:`Evaluator.self_width`,
+    :meth:`Evaluator.target_width`) over a :class:`ProcessCompiler`,
+    which resolves names without declaring any and folds constants
+    from parameters only, raising :class:`NotCompilable` where it
+    cannot."""
+
+    def const_int(self, expr):
+        return self.resolver.const_int(expr)
+
+
 class ProcessCompiler:
     """Lowers one process body for a :class:`KernelCompiler`.
 
@@ -123,6 +136,9 @@ class ProcessCompiler:
         self.indent = 1
         self.counter = 0
         self._const_folder = Evaluator(_ParamResolver(self.scope))
+        sizer = _Sizer(self)
+        self.self_width = sizer.self_width
+        self.target_width = sizer.target_width
         # Code-coverage instrumentation mirrors the interpreter's:
         # live recording for seq/initial bodies only (comb bodies are
         # covered by schedule-invariant stable-point replay instead —
@@ -168,7 +184,7 @@ class ProcessCompiler:
             return self.kernel.local_for(entry)
         return f"{self.bind(entry)}.value"
 
-    # -- name resolution (mirrors Scope / _BindScope / _Executor) -----------
+    # -- name resolution (also the sizing resolver of _Sizer) ---------------
 
     # Elaboration declares every identifier eagerly; a miss here means
     # the interpreter would declare lazily at run time, so the process
@@ -180,14 +196,20 @@ class ProcessCompiler:
             raise NotCompilable(f"undeclared identifier '{name}'")
         return entry
 
-    def resolve_target(self, name):
-        lookup = getattr(self.scope, "lookup_target", None)
-        entry = lookup(name) if lookup else self.scope.lookup(name)
+    def lookup_target(self, name):
+        entry = self.scope.lookup_target(name)
         if entry is None:
             raise NotCompilable(f"undeclared target '{name}'")
         return entry
 
-    # -- compile-time widths (mirrors Evaluator.self_width) -----------------
+    def width_of(self, name):
+        return self.resolve_read(name).width
+
+    def read_memory(self, name):
+        entry = self.resolve_read(name)
+        return entry if isinstance(entry, Memory) else None
+
+    # -- compile-time constants and signedness ------------------------------
 
     def const_int(self, expr):
         """Fold a constant expression using parameters only.
@@ -268,52 +290,6 @@ class ProcessCompiler:
                 return True
             return False
         return None
-
-    def self_width(self, expr):
-        if isinstance(expr, ast.Number):
-            return expr.width or 32
-        if isinstance(expr, ast.Identifier):
-            entry = self.resolve_read(expr.name)
-            return entry.width
-        if isinstance(expr, ast.Unary):
-            if expr.op in ("&", "|", "^", "~&", "~|", "~^", "^~", "!"):
-                return 1
-            return self.self_width(expr.operand)
-        if isinstance(expr, ast.Binary):
-            if expr.op in _COMPARE_METHODS or expr.op in ("===", "!==") \
-                    or expr.op in _LOGICAL_OPS:
-                return 1
-            if expr.op in _SHIFT_OPS or expr.op == "**":
-                return self.self_width(expr.left)
-            return max(self.self_width(expr.left), self.self_width(expr.right))
-        if isinstance(expr, ast.Ternary):
-            return max(self.self_width(expr.then),
-                       self.self_width(expr.otherwise))
-        if isinstance(expr, ast.Concat):
-            return sum(self.self_width(p) for p in expr.parts)
-        if isinstance(expr, ast.Repeat):
-            count = self.const_int(expr.count)
-            return (count or 1) * self.self_width(expr.value)
-        if isinstance(expr, ast.Index):
-            if isinstance(expr.base, ast.Identifier):
-                entry = self.resolve_read(expr.base.name)
-                if isinstance(entry, Memory):
-                    return entry.width
-            return 1
-        if isinstance(expr, ast.PartSelect):
-            if expr.mode == ":":
-                msb = self.const_int(expr.msb)
-                lsb = self.const_int(expr.lsb)
-                if msb is None or lsb is None:
-                    return 1
-                return abs(msb - lsb) + 1
-            width = self.const_int(expr.lsb)
-            return width or 1
-        if isinstance(expr, ast.FunctionCall):
-            if expr.name in ("$signed", "$unsigned") and expr.args:
-                return self.self_width(expr.args[0])
-            return 32
-        raise NotCompilable(f"cannot size {type(expr).__name__}")
 
     # -- expressions ---------------------------------------------------------
 
@@ -1298,31 +1274,6 @@ class ProcessCompiler:
 
     # -- assignment ----------------------------------------------------------
 
-    def _lvalue_width(self, target):
-        if isinstance(target, ast.Identifier):
-            entry = self.resolve_target(target.name)
-            return entry.width
-        if isinstance(target, ast.Index):
-            if isinstance(target.base, ast.Identifier):
-                entry = self.resolve_target(target.base.name)
-                if isinstance(entry, Memory):
-                    return entry.width
-            return 1
-        if isinstance(target, ast.PartSelect):
-            if target.mode == ":":
-                msb = self.const_int(target.msb)
-                lsb = self.const_int(target.lsb)
-                if msb is None or lsb is None:
-                    return 1
-                return abs(msb - lsb) + 1
-            width = self.const_int(target.lsb)
-            return width or 1
-        if isinstance(target, ast.Concat):
-            return sum(self._lvalue_width(p) for p in target.parts)
-        raise NotCompilable(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
     def _compile_assign(self, stmt):
         # Statically-known RHS signedness lets the deferred store skip
         # its per-store normalization guard (the engine's
@@ -1332,7 +1283,10 @@ class ProcessCompiler:
             self._rhs_signed = self.static_signed(stmt.value)
         except NotCompilable:
             self._rhs_signed = None
-        target_width = self._lvalue_width(stmt.target)
+        try:
+            target_width = self.target_width(stmt.target)
+        except SimulationError as exc:
+            raise NotCompilable(str(exc)) from None
         var, vw = self.compile_expr(stmt.value, target_width)
         if vw != target_width:
             out = self.tmp()
@@ -1343,7 +1297,7 @@ class ProcessCompiler:
 
     def _compile_store(self, target, var, deferred):
         if isinstance(target, ast.Identifier):
-            entry = self.resolve_target(target.name)
+            entry = self.lookup_target(target.name)
             if isinstance(entry, Signal):
                 if deferred:
                     self.uses.add("_nba")
@@ -1450,7 +1404,7 @@ class ProcessCompiler:
         if not isinstance(target.base, ast.Identifier):
             raise NotCompilable("unsupported indexed assignment target")
         ivar = self._runtime_int(target.index)
-        entry = self.resolve_target(target.base.name)
+        entry = self.lookup_target(target.base.name)
         if isinstance(entry, Memory):
             if self.mode == "fn":
                 # Seq/initial memory store: the per-memory committer
@@ -1494,7 +1448,7 @@ class ProcessCompiler:
         The RHS is already resized to the total target width, so each
         part's slice is statically in range and select_range inlines
         to a shift-and-construct."""
-        widths = [self._lvalue_width(p) for p in target.parts]
+        widths = [self.target_width(p) for p in target.parts]
         offset = sum(widths)
         for part, width in zip(target.parts, widths):
             offset -= width
@@ -1508,7 +1462,7 @@ class ProcessCompiler:
     def _compile_part_select_store(self, target, var, deferred):
         if not isinstance(target.base, ast.Identifier):
             raise NotCompilable("unsupported part-select target")
-        entry = self.resolve_target(target.base.name)
+        entry = self.lookup_target(target.base.name)
         if not isinstance(entry, Signal):
             raise NotCompilable("part-select on non-signal target")
         sig = self.bind(entry)

@@ -138,24 +138,3 @@ class CompiledSimulator(Simulator):
             fn(self)
         finally:
             self._running = previous
-
-    # -- compiled store helpers (bound into generated code) ------------------
-
-    def _store_bit(self, signal, index, value):
-        if index is None:
-            return
-        self._write_signal(signal, signal.value.replace_bits(index, value))
-
-    def _store_slice(self, signal, hi, lo, value):
-        if hi is None or lo is None:
-            return
-        self._write_signal(
-            signal,
-            signal.value.replace_bits(
-                min(hi, lo), value.resize(abs(hi - lo) + 1)
-            ),
-        )
-
-    def _mem_write(self, memory, index, value):
-        memory.write(index, value)
-        self._notify_memory_write(memory)

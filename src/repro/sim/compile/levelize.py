@@ -27,19 +27,7 @@ from collections import deque
 
 from repro.hdl import ast
 from repro.sim.elaborate import Signal
-from repro.sim.eval import Memory
-
-
-def _resolve_target_entry(scope, name):
-    """Resolve an assignment-target name the way the executor does."""
-    lookup = getattr(scope, "lookup_target", None)
-    entry = lookup(name) if lookup else scope.lookup(name)
-    if entry is None:
-        if hasattr(scope, "declare_implicit"):
-            entry = scope.declare_implicit(name)
-        else:
-            entry = scope.write_scope.declare_implicit(name)
-    return entry
+from repro.sim.eval import Memory, resolve_target
 
 
 def write_set(process):
@@ -63,12 +51,10 @@ def write_set(process):
 
     def collect(target):
         if isinstance(target, ast.Identifier):
-            return note(_resolve_target_entry(process.scope, target.name))
+            return note(resolve_target(process.scope, target.name))
         if isinstance(target, (ast.Index, ast.PartSelect)):
             if isinstance(target.base, ast.Identifier):
-                return note(
-                    _resolve_target_entry(process.scope, target.base.name)
-                )
+                return note(resolve_target(process.scope, target.base.name))
             return False
         if isinstance(target, ast.Concat):
             return all(collect(part) for part in target.parts)

@@ -8,7 +8,7 @@ them like any other combinational driver.
 
 from repro.hdl import ast
 from repro.hdl.errors import HdlElaborationError
-from repro.sim.eval import Evaluator, Memory, const_eval
+from repro.sim.eval import Memory, const_eval
 from repro.sim.values import Value
 
 
@@ -56,6 +56,9 @@ class Scope:
         if name in self.params:
             return self.params[name]
         return None
+
+    # Assignment targets resolve where reads do (cf. _BindScope).
+    lookup_target = lookup
 
     def declare_implicit(self, name):
         """Create an implicit 1-bit wire (Verilog default-nettype wire)."""
@@ -519,9 +522,9 @@ class _ModuleElaborator:
 class _BindScope:
     """A two-sided scope for port-binding processes.
 
-    Assignment targets resolve in ``write_scope``; everything read
-    resolves in ``read_scope``.  The engine asks for ``write_scope`` when
-    storing and uses the scope itself (read side) for evaluation.
+    Assignment targets (``lookup_target``, ``declare_implicit``)
+    resolve in ``write_scope``; everything read resolves in
+    ``read_scope``.
     """
 
     def __init__(self, write_scope, read_scope):
@@ -534,6 +537,9 @@ class _BindScope:
 
     def lookup_target(self, name):
         return self.write_scope.lookup(name)
+
+    def declare_implicit(self, name):
+        return self.write_scope.declare_implicit(name)
 
     def read(self, name):
         return self.read_scope.read(name)

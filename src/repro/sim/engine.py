@@ -14,11 +14,12 @@ deterministic execution-time model.
 """
 
 from bisect import bisect_right
+from functools import partial
 from operator import itemgetter
 
 from repro.hdl import ast
-from repro.sim.eval import Evaluator, EvalError, Memory
-from repro.sim.elaborate import Design, Signal, elaborate
+from repro.sim.eval import Evaluator, Memory, resolve_target
+from repro.sim.elaborate import Signal, elaborate
 from repro.sim.values import Value
 
 _MAX_DELTAS = 10000
@@ -319,6 +320,27 @@ class Simulator:
         for process in memory.comb_listeners:
             self._schedule_comb(process)
 
+    # -- select stores (the executor's closures and generated kernels) -------
+
+    def _store_bit(self, signal, index, value):
+        if index is None:
+            return
+        self._write_signal(signal, signal.value.replace_bits(index, value))
+
+    def _store_slice(self, signal, hi, lo, value):
+        if hi is None or lo is None:
+            return
+        self._write_signal(
+            signal,
+            signal.value.replace_bits(
+                min(hi, lo), value.resize(abs(hi - lo) + 1)
+            ),
+        )
+
+    def _mem_write(self, memory, index, value):
+        memory.write(index, value)
+        self._notify_memory_write(memory)
+
     def _run_process(self, process):
         executor = _Executor(self, process)
         previous, self._running = self._running, process
@@ -443,7 +465,7 @@ class _Executor:
     # -- assignment ---------------------------------------------------------------
 
     def _execute_assign(self, stmt):
-        target_width = self._lvalue_width(stmt.target)
+        target_width = self.evaluator.target_width(stmt.target)
         value = self.evaluator.eval(stmt.value, target_width)
         value = value.resize(target_width)
         # Resolve index/part-select offsets NOW (Verilog evaluates the
@@ -454,46 +476,6 @@ class _Executor:
         else:
             self.sim._nba.append(lambda s=store, v=value: s(v))
 
-    def _lookup_target(self, name):
-        scope = self.scope
-        lookup = getattr(scope, "lookup_target", None)
-        entry = lookup(name) if lookup else scope.lookup(name)
-        if entry is None:
-            if hasattr(scope, "declare_implicit"):
-                entry = scope.declare_implicit(name)
-            else:
-                entry = scope.write_scope.declare_implicit(name)
-        return entry
-
-    def _lvalue_width(self, target):
-        if isinstance(target, ast.Identifier):
-            entry = self._lookup_target(target.name)
-            if isinstance(entry, Memory):
-                return entry.width
-            if isinstance(entry, Signal):
-                return entry.width
-            return entry.width  # parameter (illegal target, best effort)
-        if isinstance(target, ast.Index):
-            if isinstance(target.base, ast.Identifier):
-                entry = self._lookup_target(target.base.name)
-                if isinstance(entry, Memory):
-                    return entry.width
-            return 1
-        if isinstance(target, ast.PartSelect):
-            if target.mode == ":":
-                msb = self.evaluator.const_or_runtime_int(target.msb)
-                lsb = self.evaluator.const_or_runtime_int(target.lsb)
-                if msb is None or lsb is None:
-                    return 1
-                return abs(msb - lsb) + 1
-            width = self.evaluator.const_or_runtime_int(target.lsb)
-            return width or 1
-        if isinstance(target, ast.Concat):
-            return sum(self._lvalue_width(p) for p in target.parts)
-        raise SimulationError(
-            f"invalid assignment target {type(target).__name__}"
-        )
-
     def _resolve_store(self, target):
         """Build a closure that writes a value to ``target``.
 
@@ -502,9 +484,9 @@ class _Executor:
         it is safe to defer to the NBA region.
         """
         if isinstance(target, ast.Identifier):
-            entry = self._lookup_target(target.name)
+            entry = resolve_target(self.scope, target.name)
             if isinstance(entry, Signal):
-                return lambda v, e=entry: self.sim._write_signal(e, v)
+                return partial(self.sim._write_signal, entry)
             if isinstance(entry, Memory):
                 raise SimulationError(
                     f"cannot assign whole memory '{target.name}'"
@@ -516,7 +498,7 @@ class _Executor:
             return self._resolve_part_select_store(target)
         if isinstance(target, ast.Concat):
             parts = [
-                (self._resolve_store(p), self._lvalue_width(p))
+                (self._resolve_store(p), self.evaluator.target_width(p))
                 for p in target.parts
             ]
 
@@ -532,49 +514,30 @@ class _Executor:
         )
 
     def _resolve_index_store(self, target):
-        index = self.evaluator.const_or_runtime_int(target.index)
+        index = self.evaluator.const_int(target.index)
         if isinstance(target.base, ast.Identifier):
-            entry = self._lookup_target(target.base.name)
+            entry = resolve_target(self.scope, target.base.name)
             if isinstance(entry, Memory):
-                def store_word(value, m=entry, i=index):
-                    m.write(i, value)
-                    self.sim._notify_memory_write(m)
-
-                return store_word
+                return partial(self.sim._mem_write, entry, index)
             if isinstance(entry, Signal):
-                def store_bit(value, e=entry, i=index):
-                    if i is None:
-                        return
-                    updated = e.value.replace_bits(i, value.resize(1))
-                    self.sim._write_signal(e, updated)
-
-                return store_bit
+                return partial(self.sim._store_bit, entry, index)
         raise SimulationError("unsupported indexed assignment target")
 
     def _resolve_part_select_store(self, target):
         if not isinstance(target.base, ast.Identifier):
             raise SimulationError("unsupported part-select target")
-        entry = self._lookup_target(target.base.name)
+        entry = resolve_target(self.scope, target.base.name)
         if target.mode == ":":
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            lsb = self.evaluator.const_or_runtime_int(target.lsb)
+            msb = self.evaluator.const_int(target.msb)
+            lsb = self.evaluator.const_int(target.lsb)
         elif target.mode == "+:":
-            lsb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            lsb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             msb = None if lsb is None else lsb + width - 1
         else:
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            msb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             lsb = None if msb is None else msb - width + 1
         if not isinstance(entry, Signal):
             raise SimulationError("part-select on non-signal target")
-
-        def store_slice(value, e=entry, hi=msb, lo=lsb):
-            if hi is None or lo is None:
-                return
-            updated = e.value.replace_bits(
-                min(hi, lo), value.resize(abs(hi - lo) + 1)
-            )
-            self.sim._write_signal(e, updated)
-
-        return store_slice
+        return partial(self.sim._store_slice, entry, msb, lsb)

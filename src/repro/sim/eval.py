@@ -57,6 +57,15 @@ class Memory(object):
         self.words[address - self.lo] = value
 
 
+def resolve_target(scope, name):
+    """The entry an assignment to ``name`` stores into: the scope's
+    target lookup, or an implicit 1-bit wire when it is undeclared."""
+    entry = scope.lookup_target(name)
+    if entry is None:
+        entry = scope.declare_implicit(name)
+    return entry
+
+
 class Evaluator:
     """Evaluates expressions against a resolver.
 
@@ -65,7 +74,9 @@ class Evaluator:
     - ``read(name) -> Value`` — current value of a signal or parameter;
     - ``read_memory(name) -> Memory or None``;
     - ``width_of(name) -> int`` — declared width (1 for implicit nets);
-    - ``signed_of(name) -> bool``.
+    - ``signed_of(name) -> bool``;
+    - ``lookup_target(name)`` and ``declare_implicit(name)`` — only for
+      :meth:`target_width`, through :func:`resolve_target`.
 
     ``on_read`` (optional) is called with every signal name the
     evaluation touches — the dynamic slicer uses this to find the input
@@ -126,8 +137,30 @@ class Evaluator:
             getattr(expr, "location", None),
         )
 
+    def target_width(self, target):
+        """Width of assignment target ``target``: the context its
+        right-hand side is evaluated in."""
+        if isinstance(target, ast.Identifier):
+            return resolve_target(self.resolver, target.name).width
+        if isinstance(target, ast.Index):
+            if isinstance(target.base, ast.Identifier):
+                entry = resolve_target(self.resolver, target.base.name)
+                if isinstance(entry, Memory):
+                    return entry.width
+            return 1
+        if isinstance(target, ast.PartSelect):
+            return self.self_width(target)
+        if isinstance(target, ast.Concat):
+            return sum(self.target_width(p) for p in target.parts)
+        # The executor's error type (the engine imports this module).
+        from repro.sim.engine import SimulationError
+
+        raise SimulationError(
+            f"invalid assignment target {type(target).__name__}"
+        )
+
     def const_int(self, expr):
-        """Evaluate a constant expression to an int (None if x)."""
+        """Evaluate an expression to an int (None if x)."""
         value = self.eval(expr)
         if value.has_x:
             return None
@@ -306,7 +339,7 @@ class Evaluator:
 
     def _eval_index(self, expr, ctx_width):
         base = expr.base
-        index = self.const_or_runtime_int(expr.index)
+        index = self.const_int(expr.index)
         if isinstance(base, ast.Identifier):
             memory = self.resolver.read_memory(base.name)
             if memory is not None:
@@ -326,11 +359,11 @@ class Evaluator:
         base_value = self.eval(expr.base)
         result = None
         if expr.mode == ":":
-            msb = self.const_or_runtime_int(expr.msb)
-            lsb = self.const_or_runtime_int(expr.lsb)
+            msb = self.const_int(expr.msb)
+            lsb = self.const_int(expr.lsb)
         elif expr.mode == "+:":
-            start = self.const_or_runtime_int(expr.msb)
-            width = self.const_or_runtime_int(expr.lsb) or 1
+            start = self.const_int(expr.msb)
+            width = self.const_int(expr.lsb) or 1
             if start is None:
                 # An x base index reads as all-x at the select's own
                 # width; the context extension below must still apply
@@ -339,8 +372,8 @@ class Evaluator:
             else:
                 lsb, msb = start, start + width - 1
         else:  # "-:"
-            start = self.const_or_runtime_int(expr.msb)
-            width = self.const_or_runtime_int(expr.lsb) or 1
+            start = self.const_int(expr.msb)
+            width = self.const_int(expr.lsb) or 1
             if start is None:
                 result = Value.all_x(width)
             else:
@@ -379,13 +412,6 @@ class Evaluator:
         if expr.name == "$random":
             return Value(getattr(self.resolver, "random_value", 0), 32)
         raise EvalError(f"unsupported function {expr.name}", expr.location)
-
-    def const_or_runtime_int(self, expr):
-        """Evaluate an index expression to a plain int (None if x)."""
-        value = self.eval(expr)
-        if value.has_x:
-            return None
-        return value.to_int()
 
 
 class ConstResolver:

@@ -14,7 +14,7 @@ the DUT.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 
 @dataclass

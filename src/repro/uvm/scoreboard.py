@@ -7,7 +7,6 @@ damage repair.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.values import Value
 from repro.uvm.log import UVMLog
