@@ -136,9 +136,6 @@ class ProcessCompiler:
         self.indent = 1
         self.counter = 0
         self._const_folder = Evaluator(_ParamResolver(self.scope))
-        sizer = _Sizer(self)
-        self.self_width = sizer.self_width
-        self.target_width = sizer.target_width
         # Code-coverage instrumentation mirrors the interpreter's:
         # live recording for seq/initial bodies only (comb bodies are
         # covered by schedule-invariant stable-point replay instead —
@@ -209,7 +206,15 @@ class ProcessCompiler:
         entry = self.resolve_read(name)
         return entry if isinstance(entry, Memory) else None
 
-    # -- compile-time constants and signedness ------------------------------
+    # -- compile-time widths, constants and signedness ---------------------
+
+    # A sizer per call: one held here would form a reference cycle.
+
+    def self_width(self, expr):
+        return _Sizer(self).self_width(expr)
+
+    def target_width(self, target):
+        return _Sizer(self).target_width(target)
 
     def const_int(self, expr):
         """Fold a constant expression using parameters only.
