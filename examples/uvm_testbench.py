@@ -8,14 +8,13 @@ a custom sequence, prints the UVM log tail, and exports the waveform.
 """
 
 from repro.bench import get_module
+from repro.cover import CoverModel, CoverPoint
 from repro.sim import Simulator
 from repro.sim.elaborate import elaborate
 from repro.sim.vcd import dump_simulator
 from repro.uvm import (
     Agent,
     ConcatSequence,
-    Coverage,
-    CoverPoint,
     DirectedSequence,
     RandomSequence,
     ResetSequence,
@@ -46,12 +45,10 @@ def main():
     agent = Agent(simulator, sequence, bench.protocol,
                   bench.compare_signals)
     scoreboard = Scoreboard(bench.model(), bench.compare_signals)
-    coverage = Coverage([
+    coverage = CoverModel(name="fifo", points=[
         CoverPoint.auto("din", 8),
-        CoverPoint("count_extremes", []),  # placeholder, filled below
+        CoverPoint("count", [(0, 0), (8, 8), (1, 7)]),  # empty/full/other
     ])
-    coverage.points[1].bins = [(0, 0), (8, 8), (1, 7)]
-    coverage.points[1].signal = "count"
 
     # 4. Run: the monitor hook feeds scoreboard + coverage per cycle.
     def per_sample(txn, cycle, time, observed):

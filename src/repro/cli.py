@@ -326,7 +326,6 @@ def _cmd_coverage(args):
 
     from repro.cover.db import CoverageDB, CoverageMergeError
     from repro.cover.holes import format_holes, holes_of
-    from repro.cover.model import model_from_counters
 
     paths = []
     for pattern in args.databases:
@@ -342,8 +341,7 @@ def _cmd_coverage(args):
         return 2
     print(db.report())
     if args.holes:
-        for group in sorted(db.functional):
-            model = model_from_counters(group, db.functional[group])
+        for group, model in db.functional_models().items():
             holes = holes_of(model)
             if not holes:
                 continue

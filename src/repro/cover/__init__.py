@@ -3,7 +3,9 @@ code coverage, a mergeable coverage database, and closed-loop
 coverage-driven stimulus.
 
 - :mod:`repro.cover.model` — :class:`CoverModel` (points, crosses,
-  transition bins, probes), drop-in for the flat UVM covergroup;
+  transition bins, probes), the one functional-coverage model: the
+  UVM environment's default covergroup and the campaign fragments
+  alike;
 - :mod:`repro.cover.code` — :class:`CodeCoverage`: backend-invariant
   statement/branch/toggle collection over both simulation backends;
 - :mod:`repro.cover.db` — :class:`CoverageDB`: union-mergeable,
@@ -20,6 +22,7 @@ from repro.cover.db import CoverageDB, CoverageMergeError
 from repro.cover.holes import Hole, format_holes, holes_of
 from repro.cover.model import (
     CoverModel,
+    CoverPoint,
     Cross,
     TransitionPoint,
     choice_bins,
@@ -30,6 +33,7 @@ from repro.cover.model import (
 __all__ = [
     "CodeCoverage",
     "CoverModel",
+    "CoverPoint",
     "CoverageDB",
     "CoverageDrivenSequence",
     "CoverageMergeError",

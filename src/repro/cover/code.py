@@ -37,16 +37,6 @@ from repro.sim.engine import SimulationError, _Executor
 from repro.sim.eval import Evaluator
 
 
-#: Per-process cap on memoized replay outcomes (wide input cones can
-#: produce many distinct settled states; beyond the cap we just
-#: re-execute, which is always correct).
-_REPLAY_MEMO_LIMIT = 4096
-
-#: Functions whose result is not a pure function of signal state — a
-#: body containing one cannot be replay-memoized.
-_IMPURE_CALLS = frozenset(("$time", "$stime", "$random"))
-
-
 class CodeCoverage:
     """Statement/branch/toggle counters over one elaborated design."""
 
@@ -62,8 +52,6 @@ class CodeCoverage:
         self.stmt_hits = {}
         self.branch_hits = {}
         self.toggle = {}
-        self._replay_plan = None
-        self._replay_memo = {}
         for index, process in enumerate(design.processes):
             counter = iter(range(1 << 30))
             for stmt in process.body:
@@ -127,97 +115,13 @@ class CodeCoverage:
         docstring); call once per monitor sample point.  Reads the
         settled values directly off this collector's own design — the
         simulator that owns it — so it takes no argument.
-
-        Replays are memoized per process on the settled values of the
-        signals the engine registered it as reading (the same cone
-        that decides re-evaluation): a repeated settled state replays
-        as a cached counter bump instead of a tree walk.  Processes
-        reading memories or impure functions are re-executed every
-        time.
         """
-        if self._replay_plan is None:
-            self._replay_plan = self._build_replay_plan()
-        for index, (process, key_signals) in enumerate(self._replay_plan):
-            if key_signals is None:
-                self._replay(process, self)
-                continue
-            key = tuple(
-                (s.value.bits, s.value.xmask) for s in key_signals
-            )
-            memo, stats = self._replay_memo.setdefault(
-                id(process), ({}, [0, 0])
-            )
-            stats[0] += 1
-            deltas = memo.get(key)
-            if deltas is None:
-                recorder = _DeltaRecorder(self)
-                self._replay(process, recorder)
-                deltas = (recorder.stmts, recorder.branches)
-                if len(memo) < _REPLAY_MEMO_LIMIT:
-                    memo[key] = deltas
-                # Adaptive bail-out: a wide input cone rarely repeats
-                # a settled state, so the memo only adds key-building
-                # overhead — demote the process to direct replay.
-                if stats[0] >= 32 and stats[1] * 2 < stats[0]:
-                    self._replay_plan[index] = (process, None)
-                    memo.clear()
-            else:
-                stats[1] += 1
-            for sid, count in deltas[0].items():
-                self.stmt_hits[sid] = self.stmt_hits.get(sid, 0) + count
-            for bid, count in deltas[1].items():
-                self.branch_hits[bid] = \
-                    self.branch_hits.get(bid, 0) + count
-
-    def _build_replay_plan(self):
-        """``[(comb_process, key_signals_or_None)]`` in design order.
-
-        ``key_signals`` is the tuple of signals whose value changes
-        schedule the process (its read cone per the engine's own
-        listener registration); ``None`` marks a process that must be
-        re-executed every sample (memory reads, impure calls).  A
-        process's own blocking temporaries need not be in the key: at
-        a stable point their settled values are themselves functions
-        of the cone.
-        """
-        reads = {}
-        for signal in self.design.signals.values():
-            for process in signal.comb_listeners:
-                reads.setdefault(id(process), []).append(signal)
-        blocked = set()
-        for memory in self.design.memories.values():
-            for process in memory.comb_listeners:
-                blocked.add(id(process))
-        plan = []
         for process in self.design.processes:
-            if process.kind != "comb":
-                continue
-            memoizable = id(process) not in blocked
-            if memoizable:
-                # Tiny bodies replay about as fast as a key builds;
-                # only non-trivial cones are worth memoizing.
-                stmt_count = sum(
-                    1 for stmt in process.body
-                    for node in stmt.walk() if id(node) in self.stmt_id
-                )
-                memoizable = stmt_count >= 4
-            if memoizable:
-                for stmt in process.body:
-                    if any(
-                        isinstance(node, ast.FunctionCall)
-                        and node.name in _IMPURE_CALLS
-                        for node in stmt.walk()
-                    ):
-                        memoizable = False
-                        break
-            key_signals = (
-                tuple(reads.get(id(process), ())) if memoizable else None
-            )
-            plan.append((process, key_signals))
-        return plan
+            if process.kind == "comb":
+                self._replay(process)
 
-    def _replay(self, process, recorder):
-        executor = _ReplayExecutor(process, recorder)
+    def _replay(self, process):
+        executor = _ReplayExecutor(process, self)
         try:
             for stmt in process.body:
                 executor.execute(stmt)
@@ -312,34 +216,6 @@ def _popcount(value):
 
 
 # -- shadow replay machinery -------------------------------------------------
-
-
-class _DeltaRecorder:
-    """Collects one replay's stmt/branch hits for the replay memo."""
-
-    def __init__(self, coverage):
-        self.coverage = coverage
-        self.stmts = {}
-        self.branches = {}
-
-    def hit_stmt_node(self, stmt):
-        sid = self.coverage.stmt_id.get(id(stmt))
-        if sid is not None:
-            self.stmts[sid] = self.stmts.get(sid, 0) + 1
-
-    def hit_branch(self, sid, outcome):
-        key = f"{sid}:{outcome}"
-        self.branches[key] = self.branches.get(key, 0) + 1
-
-    def hit_branch_node(self, stmt, outcome):
-        sid = self.coverage.stmt_id.get(id(stmt))
-        if sid is not None:
-            self.hit_branch(sid, outcome)
-
-    def hit_case_item(self, item):
-        entry = self.coverage.case_arm.get(id(item))
-        if entry is not None:
-            self.hit_branch(*entry)
 
 
 class _ShadowSim:

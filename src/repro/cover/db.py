@@ -25,6 +25,8 @@ import json
 import os
 import tempfile
 
+from repro.cover.model import model_from_counters
+
 DB_SCHEMA_VERSION = 1
 
 
@@ -154,11 +156,18 @@ class CoverageDB:
 
     # -- reporting -----------------------------------------------------------
 
+    def functional_models(self):
+        """``{group: CoverModel}`` rebuilt from serialized counters."""
+        return {
+            group: model_from_counters(group, counters)
+            for group, counters in sorted(self.functional.items())
+        }
+
     def functional_summary(self):
         """``{group: coverage_fraction}`` from serialized counters."""
         return {
-            group: _functional_coverage(model)
-            for group, model in sorted(self.functional.items())
+            group: model.coverage
+            for group, model in self.functional_models().items()
         }
 
     def functional_coverage(self):
@@ -187,12 +196,11 @@ class CoverageDB:
         lines = ["coverage database"]
         lines.append(f"  functional groups: {len(self.functional)}, "
                      f"code groups: {len(self.code)}")
-        for group, fraction in self.functional_summary().items():
-            model = self.functional[group]
-            covered, total = _functional_bins(model)
+        for group, model in self.functional_models().items():
+            covered, total = model.bin_counts()
             lines.append(
                 f"  functional {group}: {covered}/{total} bins "
-                f"({100.0 * fraction:.1f}%)"
+                f"({100.0 * model.coverage:.1f}%)"
             )
         code = self.code_summary()
         if code:
@@ -274,42 +282,3 @@ def _merge_code(into, extra):
         mine["fall"] = mine.get("fall", 0) | entry.get("fall", 0)
         mine["width"] = max(mine.get("width", 0), entry.get("width", 0))
 
-
-def _functional_bins(model):
-    covered = total = 0
-    for point in (model.get("points") or {}).values():
-        covered += len(point.get("hits", {}))
-        total += len(point.get("bins", []))
-    for cross in (model.get("crosses") or {}).values():
-        covered += len(cross.get("hits", {}))
-        product = 1
-        for size in cross.get("sizes", []):
-            product *= max(1, size)
-        total += product
-    for trans in (model.get("transitions") or {}).values():
-        covered += len(trans.get("hits", {}))
-        total += len(trans.get("seqs", []))
-    return covered, total
-
-
-def _functional_coverage(model):
-    """Mean-of-items coverage, mirroring ``CoverModel.coverage``."""
-    fractions = []
-    for point in (model.get("points") or {}).values():
-        bins = len(point.get("bins", []))
-        fractions.append(
-            len(point.get("hits", {})) / bins if bins else 1.0
-        )
-    for cross in (model.get("crosses") or {}).values():
-        product = 1
-        for size in cross.get("sizes", []):
-            product *= max(1, size)
-        fractions.append(len(cross.get("hits", {})) / product)
-    for trans in (model.get("transitions") or {}).values():
-        seqs = len(trans.get("seqs", []))
-        fractions.append(
-            len(trans.get("hits", {})) / seqs if seqs else 1.0
-        )
-    if not fractions:
-        return 1.0
-    return sum(fractions) / len(fractions)

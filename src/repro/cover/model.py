@@ -1,10 +1,11 @@
-"""Rich functional coverage: crosses, transitions, probes.
+"""Functional coverage: points, crosses, transitions, probes.
 
-The flat per-signal bin model (:mod:`repro.uvm.coverage`) cannot say
-"did we ever drive a carry-in of 1 *while* both operands saturate" or
-"did the FSM ever take the S2 -> S3 arc".  This module adds exactly
-those two axes on top of the existing :class:`CoverPoint` primitive:
+The one functional-coverage model of the framework — the default
+covergroup every UVM environment builds and the campaign fragments
+the coverage database merges alike:
 
+- :class:`CoverPoint` — disjoint range or value bins over one
+  signal's sampled values;
 - :class:`Cross` — the cartesian product of several coverpoints'
   bins; a cross bin is hit when one sample lands every member point
   in the matching bin simultaneously;
@@ -12,10 +13,9 @@ those two axes on top of the existing :class:`CoverPoint` primitive:
   samples of one signal (FSM arcs, handshake orders).  An x-state
   sample breaks the chain (an unknown cannot witness a transition);
 - :class:`CoverModel` — a named covergroup bundling points, crosses
-  and transitions, drop-in for :class:`repro.uvm.coverage.Coverage`
-  (same ``sample``/``coverage``/``report`` surface) plus hole
-  reports (:mod:`repro.cover.holes`) and a JSON-pure serialization
-  the coverage database (:mod:`repro.cover.db`) union-merges.
+  and transitions, with hole reports (:mod:`repro.cover.holes`) and a
+  JSON-pure serialization the coverage database
+  (:mod:`repro.cover.db`) union-merges.
 
 ``probes`` names DUT-internal signals (e.g. an FSM state register)
 the environment should read from the simulator and merge into every
@@ -26,21 +26,104 @@ never carry.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.uvm.coverage import CoverPoint
-
 #: Separator for cross-bin keys in serialized form ("2|0|1").
 _KEY_SEP = "|"
 
 
 def _known_int(value):
     """Normalize a sampled value to an int, or ``None`` for x-state."""
-    if value is None:
-        return None
+    if value is None or type(value) is int:
+        return value
     if hasattr(value, "has_x"):
         if value.has_x:
             return None
         return value.to_int()
     return int(value)
+
+
+@dataclass
+class CoverPoint:
+    """Bins over one signal's sampled values."""
+
+    signal: str
+    bins: List[Tuple[int, int]]  # inclusive (lo, hi) ranges
+    hits: Dict[int, int] = field(default_factory=dict)
+
+    @staticmethod
+    def auto(signal, width, bin_count=4):
+        """Quartile bins over the signal's value range + corner bins.
+
+        Bins are pairwise disjoint: the first/last quartiles are
+        trimmed so the dedicated ``(0, 0)`` / ``(top, top)`` corner
+        bins never overlap them (an overlapping sample used to
+        increment several bins at once and inflate ``covered``).
+        Corner bins are still added whenever ``top >= bin_count``;
+        below that every value already gets its own bin.
+        """
+        top = (1 << width) - 1
+        if top < bin_count:
+            bins = [(v, v) for v in range(top + 1)]
+        else:
+            bins = CoverPoint.range_bins(0, top, bin_count)
+        return CoverPoint(signal=signal, bins=bins)
+
+    @staticmethod
+    def range_bins(lo, hi, bin_count=4):
+        """Disjoint equal-ish bins over ``[lo, hi]`` plus corner bins.
+
+        The interior bins are trimmed by one value at each end so the
+        single-value corner bins stay disjoint; degenerate (empty)
+        interior bins are dropped.
+        """
+        if hi <= lo:
+            return [(lo, lo)]
+        span = hi - lo + 1
+        if span <= bin_count + 2:
+            return [(v, v) for v in range(lo, hi + 1)]
+        step = span // bin_count
+        bins = []
+        for i in range(bin_count):
+            b_lo = lo + i * step
+            b_hi = hi if i == bin_count - 1 else lo + (i + 1) * step - 1
+            if i == 0:
+                b_lo = max(b_lo, lo + 1)
+            if i == bin_count - 1:
+                b_hi = min(b_hi, hi - 1)
+            if b_lo <= b_hi:
+                bins.append((b_lo, b_hi))
+        return [(lo, lo)] + bins + [(hi, hi)]
+
+    def sample(self, value):
+        """Bin one int-or-Value sample; returns the bin index hit, or
+        ``None`` for a missing, x-state or out-of-range value."""
+        value = _known_int(value)
+        if value is None:
+            return None
+        index = self.bin_index(value)
+        if index is not None:
+            self.hits[index] = self.hits.get(index, 0) + 1
+        return index
+
+    def bin_index(self, value):
+        """Index of the (first) bin containing ``value``, or ``None``."""
+        for index, (lo, hi) in enumerate(self.bins):
+            if lo <= value <= hi:
+                return index
+        return None
+
+    @property
+    def covered(self):
+        return len(self.hits)
+
+    @property
+    def total(self):
+        return len(self.bins)
+
+    @property
+    def coverage(self):
+        if not self.bins:
+            return 1.0
+        return self.covered / self.total
 
 
 @dataclass
@@ -163,11 +246,13 @@ class TransitionPoint:
 class CoverModel:
     """A named covergroup: points + crosses + transitions + probes.
 
-    Drop-in for :class:`repro.uvm.coverage.Coverage`: the environment
-    calls ``sample({signal: value})`` per monitor observation and
-    reads ``coverage``/``report()``.  ``sample`` returns the number of
-    *newly covered* bins (first hits), which the coverage-driven
-    stimulus engine uses as its reward signal.
+    The environment calls ``sample({signal: value})`` per monitor
+    observation and reads ``coverage``/``report()``.  ``sample``
+    returns the number of *newly covered* bins (first hits), which the
+    coverage-driven stimulus engine uses as its reward signal.
+    ``coverage`` is the mean over items (every point, cross and
+    transition counts once), so a model of points alone is the mean
+    over its points.
     """
 
     def __init__(self, name="cover", points=None, crosses=None,
@@ -179,10 +264,6 @@ class CoverModel:
         self.probes = list(probes or [])
 
     # -- construction --------------------------------------------------------
-
-    def add_point(self, point):
-        self.points.append(point)
-        return point
 
     def add_cross(self, *points, name=None):
         if name is None:
@@ -214,16 +295,11 @@ class CoverModel:
         new = 0
         indexes = {}
         for point in self.points:
-            value = _known_int(values.get(point.signal))
-            if value is None:
-                continue
-            index = point.bin_index(value)
-            if index is None:
-                continue
-            if index not in point.hits:
-                new += 1
-            point.hits[index] = point.hits.get(index, 0) + 1
-            indexes[point.signal] = index
+            before = len(point.hits)
+            index = point.sample(values.get(point.signal))
+            if index is not None:
+                new += len(point.hits) - before
+                indexes[point.signal] = index
         for cross in self.crosses:
             before = cross.covered
             cross.sample(indexes)
@@ -254,6 +330,13 @@ class CoverModel:
         if not items:
             return 1.0
         return sum(i.coverage for i in items) / len(items)
+
+    def bin_counts(self):
+        """``(covered, total)`` bins over every point, cross and
+        transition."""
+        items = self._items()
+        return (sum(i.covered for i in items),
+                sum(i.total for i in items))
 
     def report(self):
         lines = [f"covergroup {self.name}:"]

@@ -17,21 +17,7 @@ FUNCTIONAL_CLASSES = (
     "logic_errors",
 )
 
-#: paper_class values mapped onto Fig. 6 axis labels.
-_CLASS_MAP = {
-    "incorrect_bitwidth": "incorrect_bitwidth",
-    "flawed_conditions": "flawed_conditions",
-    "logic_errors": "logic_errors",
-    "declaration_errors": "declaration_errors",
-}
-
 METHODS = ("uvllm", "gpt-4-turbo", "strider", "meic", "rtlrepair")
-
-
-def _axis_class(record):
-    # Bitwidth declaration defects double as the paper's "declaration
-    # errors" when they live on a declaration statement.
-    return _CLASS_MAP.get(record.paper_class, record.paper_class)
 
 
 def run(modules=None, per_operator=1, attempts=3, seed=0, jobs=1,
@@ -59,7 +45,7 @@ def run(modules=None, per_operator=1, attempts=3, seed=0, jobs=1,
         for method in METHODS:
             subset = [
                 r for r in by_method.get(method, [])
-                if _axis_class(r) == cls
+                if r.paper_class == cls
             ]
             hr, fr, seconds = rates(subset)
             results["classes"][cls][method] = {

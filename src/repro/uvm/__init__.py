@@ -12,8 +12,9 @@ Components map 1:1 onto SystemVerilog UVM roles:
 - :class:`Scoreboard` — compares DUT outputs against the reference
   model, maintains the pass rate (the rollback "Score Reg."), and emits
   the UVM log that the localization engine mines;
-- :class:`Coverage` — functional coverage bins;
-- :class:`Environment` / :class:`UVMTest` — top-level orchestration.
+- :class:`Environment` / :class:`UVMTest` — top-level orchestration;
+  the environment samples a :class:`repro.cover.model.CoverModel`,
+  the framework's one functional-coverage model.
 """
 
 from repro.uvm.transaction import Transaction
@@ -29,7 +30,6 @@ from repro.uvm.driver import Driver, DriveProtocol
 from repro.uvm.monitor import Monitor
 from repro.uvm.agent import Agent
 from repro.uvm.scoreboard import Scoreboard, MismatchRecord
-from repro.uvm.coverage import Coverage, CoverPoint
 from repro.uvm.log import UVMLog, LogEntry
 from repro.uvm.env import Environment
 from repro.uvm.test import UVMTest, TestResult, run_uvm_test
@@ -48,8 +48,6 @@ __all__ = [
     "Agent",
     "Scoreboard",
     "MismatchRecord",
-    "Coverage",
-    "CoverPoint",
     "UVMLog",
     "LogEntry",
     "Environment",

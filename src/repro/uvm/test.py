@@ -21,6 +21,7 @@ from repro.sim.backend import (
 )
 from repro.sim.compile.xcheck import XCheckDivergence
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.eval import EvalError
 from repro.hdl.errors import HdlError
 from repro.uvm.env import Environment
 from repro.uvm.log import UVMLog
@@ -82,12 +83,14 @@ class UVMTest:
     default (see :mod:`repro.sim.backend`), which campaign work units
     scope per unit.
 
-    ``coverage`` overrides the environment's default flat covergroup
-    with a rich :class:`~repro.cover.model.CoverModel` (crosses,
-    transitions, probes); ``code_coverage=True`` additionally attaches
-    a structural :class:`~repro.cover.code.CodeCoverage` collector to
-    the simulator.  Both serialize into ``TestResult.coverage_detail``
-    for the coverage database.
+    ``coverage`` replaces the environment's default model (one
+    auto-binned point per DUT input) with the caller's
+    :class:`~repro.cover.model.CoverModel` (crosses, transitions,
+    probes); ``code_coverage=True`` additionally attaches a structural
+    :class:`~repro.cover.code.CodeCoverage` collector to the
+    simulator.  A caller's model and the code collector serialize into
+    ``TestResult.coverage_detail`` for the coverage database; the
+    default model does not.
     """
 
     def __init__(self, source, sequence, protocol, reference_model,
@@ -164,7 +167,7 @@ class UVMTest:
             )
         except XCheckDivergence:
             raise  # a backend bug, not a DUT failure: surface loudly
-        except (HdlError, SimulationError) as exc:
+        except (HdlError, SimulationError, EvalError) as exc:
             log.error(0, "ELAB", f"elaboration failed: {exc}")
             # An initial-time SimulationError (combinational loop,
             # runaway deltas) still recorded a partial trace: surface
@@ -188,7 +191,7 @@ class UVMTest:
             scoreboard = env.run()
         except XCheckDivergence:
             raise  # ditto: lockstep divergence must never be swallowed
-        except (SimulationError, HdlError) as exc:
+        except (SimulationError, HdlError, EvalError) as exc:
             log.error(simulator.time, "SIM", f"simulation failed: {exc}")
             return TestResult(
                 ok=False, log=log, error=str(exc),
@@ -204,15 +207,14 @@ class UVMTest:
             trace=simulator.trace,
             simulator=simulator,
             checked=scoreboard.checked,
-            coverage_detail=self._coverage_detail(env, simulator),
+            coverage_detail=self._coverage_detail(simulator),
             ops=list(getattr(simulator, "ops", ())),
         )
 
-    @staticmethod
-    def _coverage_detail(env, simulator):
+    def _coverage_detail(self, simulator):
         detail = {}
-        if hasattr(env.coverage, "to_dict"):
-            detail["functional"] = env.coverage.to_dict()
+        if self.coverage is not None:
+            detail["functional"] = self.coverage.to_dict()
         code_coverage = getattr(simulator, "code_coverage", None)
         if code_coverage is not None:
             detail["code"] = code_coverage.finalize(simulator).to_dict()

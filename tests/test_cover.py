@@ -8,11 +8,13 @@ Covers the four pillars of `repro.cover`:
 - the closed-loop coverage-driven stimulus engine.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.bench.registry import (
+    all_modules,
     get_module,
     make_coverage_evaluator,
     make_coverage_model,
@@ -277,7 +279,47 @@ class TestUVMIntegration:
             bench.model(), bench.compare_signals,
         )
         assert result.ok
-        assert result.coverage_detail == {}  # flat model: no counters
+        assert result.coverage_detail == {}  # default model: no counters
+
+
+class TestCoveragePinned:
+    """Coverage output over the 27 golden benches, pinned to a digest.
+
+    Per bench and backend the digest covers the HR-suite run's
+    ``coverage_detail`` under the bench's rich model with code
+    coverage on, and the ``repr`` of the default-model run's
+    ``TestResult.coverage``.  Both backends must land on the same
+    digest; a change to coverage collection that is meant to move
+    these numbers re-pins it and says why.
+    """
+
+    DIGEST = "8d9523a282593564be464bcede7378d9e688d667d5cabb280f22286e1e51de6a"
+
+    @staticmethod
+    def _digest(backend):
+        digest = hashlib.sha256()
+        for bench in all_modules():
+            def run(**options):
+                return run_uvm_test(
+                    bench.source, make_hr_sequence(bench), bench.protocol,
+                    bench.model(), bench.compare_signals, top=bench.top,
+                    backend=backend, **options,
+                )
+
+            rich = run(coverage=make_coverage_model(bench),
+                       code_coverage=True)
+            default = run()
+            assert rich.ok and default.ok, bench.name
+            digest.update(bench.name.encode("ascii"))
+            digest.update(json.dumps(rich.coverage_detail, sort_keys=True,
+                                     separators=(",", ":")).encode("ascii"))
+            digest.update(repr(default.coverage).encode("ascii"))
+        return digest.hexdigest()
+
+    def test_coverage_output_pinned(self):
+        digests = {b: self._digest(b) for b in ("interp", "compiled")}
+        assert digests["interp"] == digests["compiled"]
+        assert digests["interp"] == self.DIGEST
 
 
 class TestCoverageDB:

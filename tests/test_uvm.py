@@ -3,10 +3,9 @@
 import pytest
 
 from repro.bench import get_module, make_fr_sequence, make_hr_sequence
+from repro.cover.model import CoverModel, CoverPoint
 from repro.refmodel.base import CombModel
 from repro.uvm import (
-    Coverage,
-    CoverPoint,
     DirectedSequence,
     DriveProtocol,
     RandomSequence,
@@ -157,6 +156,28 @@ class TestScoreboardAndLog:
         assert not result.ok
         assert result.error
 
+    @pytest.mark.parametrize("backend", ["interp", "compiled", "xcheck"])
+    def test_eval_error_fails_the_run(self, backend):
+        """An expression the design cannot evaluate while it settles (a
+        replication count driven by an input) fails the run as an
+        elaboration error instead of escaping the harness."""
+        source = ("module m(input [1:0] n, input a, output [7:0] y);\n"
+                  "    assign y = {n{a}};\nendmodule\n")
+
+        class Model(CombModel):
+            def compute(self, inputs):
+                return {"y": 0}
+
+        result = run_uvm_test(
+            source, DirectedSequence([Transaction({"n": 1, "a": 1})]),
+            DriveProtocol(clock=None, reset=None), Model(), ["y"],
+            backend=backend,
+        )
+        assert not result.ok
+        assert "replication count is unknown" in result.error
+        assert [(e.severity, e.component) for e in result.log.entries] \
+            == [("UVM_ERROR", "ELAB")]
+
     def test_mismatch_records_carry_inputs(self):
         bench = get_module("adder_8bit")
         buggy = bench.source.replace("a + b + cin", "a - b + cin")
@@ -204,7 +225,7 @@ class TestCoverage:
         from repro.sim.values import Value
 
         point = CoverPoint.auto("a", width=4)
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         coverage.sample({"a": Value.all_x(4)})
         assert point.covered == 0
         coverage.sample({"a": Value(3, 4)})
@@ -212,15 +233,17 @@ class TestCoverage:
 
     def test_sample_missing_signal_is_skipped(self):
         point = CoverPoint.auto("a", width=4)
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         coverage.sample({"b": 3})
         assert point.covered == 0
 
     def test_empty_covergroup_is_fully_covered(self):
-        coverage = Coverage()
+        coverage = CoverModel()
         assert coverage.coverage == 1.0
-        coverage.sample({"a": 1})  # no points: a silent no-op
-        assert "TOTAL: 100.0%" in coverage.report()
+        assert coverage.sample({"a": 1}) == 0  # no points: a no-op
+        assert coverage.report().splitlines() == [
+            "covergroup cover:", "  TOTAL: 100.0%",
+        ]
 
     def test_point_with_no_bins_is_fully_covered(self):
         point = CoverPoint("a", bins=[])
@@ -228,29 +251,31 @@ class TestCoverage:
 
     def test_report_formatting(self):
         point = CoverPoint("a", bins=[(0, 0), (1, 14), (15, 15)])
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         coverage.sample({"a": 0})
         coverage.sample({"a": 7})
-        report = coverage.report()
-        assert "coverpoint a: 2/3 bins (66.7%)" in report
-        assert report.splitlines()[-1] == "TOTAL: 66.7%"
+        assert coverage.report().splitlines() == [
+            "covergroup cover:",
+            "  coverpoint a: 2/3 bins (66.7%)",
+            "  TOTAL: 66.7%",
+        ]
 
     def test_sampling(self):
         point = CoverPoint.auto("a", width=4)
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         for value in range(16):
             coverage.sample({"a": value})
         assert coverage.coverage == 1.0
 
     def test_partial_coverage(self):
         point = CoverPoint.auto("a", width=8)
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         coverage.sample({"a": 0})
         assert 0.0 < coverage.coverage < 1.0
 
     def test_report_text(self):
         point = CoverPoint.auto("a", width=4)
-        coverage = Coverage([point])
+        coverage = CoverModel(points=[point])
         coverage.sample({"a": 3})
         assert "coverpoint a" in coverage.report()
 
